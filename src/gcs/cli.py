@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -365,21 +364,8 @@ def _cmd_corpus(args) -> dict:
                          groups=args.groups or None)
     if not pairs:
         raise InputError("the requested filters leave no corpus pairs")
-    workers = os.environ.get("GCS_THREADS", "")
-    try:
-        max_workers = max(1, int(workers)) if workers else min(4, os.cpu_count() or 1)
-    except ValueError:
-        raise InputError(f"GCS_THREADS must be an integer, got {workers!r}")
-
-    def battery(pair):
-        entry, gname = pair
-        return corpus_battery(entry, gname, seed=args.seed, tol=tol)
-
-    if max_workers == 1:
-        results = [battery(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(battery, pairs))  # submission order
+    results = [corpus_battery(entry, gname, seed=args.seed, tol=tol)
+               for entry, gname in pairs]
     checks = []
     for res in results:
         label = f"{res['graph']}+{res['group']}"

@@ -14,7 +14,7 @@ import numpy as np
 from .builder import build_cluster_state, schedule
 from .graphs import ClusterGraph, Edge, build_graph, line_graph, ring_graph
 from .groups import builtin_group
-from .peps import CONTRACTION_BUDGET, compare_to_circuit
+from .peps import CONTRACTION_BUDGET, build_peps, contract
 from .qdouble import build_qd_lattice, qd_cluster_graph
 from .stabilizers import (
     closed_form_stabilizers,
@@ -23,7 +23,7 @@ from .stabilizers import (
     propagate,
     verify,
 )
-from .states import Register
+from .states import Register, fidelity
 
 __all__ = [
     "CorpusEntry",
@@ -200,7 +200,7 @@ def corpus_battery(entry: CorpusEntry, gname: str, seed: int = 0,
         1 for o in g.odd_vertices if not g.incident_edges(o)
     )
     if G.order ** n_edges <= min(CONTRACTION_BUDGET, 2 * 10**6):
-        fid = compare_to_circuit(g, G)
+        fid = fidelity(contract(build_peps(g, G)), psi)
         result["peps_fidelity"] = float(fid)
         result["checks_passed"] = bool(
             result["checks_passed"] and fid > 1 - tol

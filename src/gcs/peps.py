@@ -102,41 +102,37 @@ def build_peps(g: ClusterGraph, G: FiniteGroup) -> PepsNetwork:
 
 
 def contract(net: PepsNetwork, budget: int = CONTRACTION_BUDGET) -> SparseState:
-    """Exact contraction by enumerating one group element per bond.
+    """Exact contraction of every bond.
 
-    Returns the unnormalized physical state (every surviving assignment
-    contributes amplitude 1)."""
+    A copy tensor forces each leg of an odd site to that site's digit, so
+    only the n^#odd assignments of one element per odd site survive the
+    sum over bonds: each is enumerated once, and every bond takes the digit
+    of its odd endpoint.  ``budget`` still bounds the full bond
+    enumeration, n^(#bonds + #isolated odd sites).  Returns the
+    unnormalized physical state (every surviving assignment contributes
+    amplitude 1)."""
     g, G = net.graph, net.group
     n = G.order
-    edge_ids = [e.id for e in g.edges]
     isolated = [w for w in g.odd_vertices if not net.legs[w]]
-    k = len(edge_ids)
-    total = n ** (k + len(isolated))
+    total = n ** (len(g.edges) + len(isolated))
     if total > budget:
         raise RuntimeError(
             f"bond enumeration needs {total} assignments, over the budget {budget}"
         )
-    col_of = {eid: i for i, eid in enumerate(edge_ids)}
-    for extra, w in enumerate(isolated):  # unbonded copy tensors still sum
-        col_of[w] = k + extra
-    assign = np.empty((total, max(k + len(isolated), 1)), dtype=np.int64)
-    idx = np.arange(total)
-    for col in range(k + len(isolated) - 1, -1, -1):
-        idx, assign[:, col] = np.divmod(idx, n)
     reg = Register(G, g.vertex_ids)
-    keys = np.zeros((total, reg.width), dtype=np.int16)
-    mask = np.ones(total, dtype=bool)
-    for w in g.odd_vertices:
-        cols = [col_of[eid] for eid in net.legs[w]] or [col_of[w]]
-        val = assign[:, cols[0]]
-        for c in cols[1:]:
-            mask &= assign[:, c] == val
-        keys[:, reg.axis(w)] = val
+    odd = g.odd_vertices
+    rows = n ** len(odd)
+    keys = np.zeros((rows, reg.width), dtype=np.int16)
+    idx = np.arange(rows)
+    for w in reversed(odd):
+        idx, keys[:, reg.axis(w)] = np.divmod(idx, n)
     for v in g.even_vertices:
-        cols = [assign[:, col_of[eid]] for eid in net.legs[v]]
+        cols = []
+        for eid in net.legs[v]:
+            e = g.edge(eid)
+            cols.append(keys[:, reg.axis(e.head if e.tail == v else e.tail)])
         keys[:, reg.axis(v)] = _word_values(G, net.senses[v], cols)
-    amps = np.ones(int(mask.sum()), dtype=complex)
-    return SparseState(reg, keys[mask], amps)
+    return SparseState(reg, keys, np.ones(rows, dtype=complex))
 
 
 def compare_to_circuit(g: ClusterGraph, G: FiniteGroup,

@@ -20,13 +20,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .builder import Gate, GateSchedule, schedule
 from .graphs import ClusterGraph
 from .groups import FiniteGroup
-from .states import Register, SparseState
+from .states import (
+    Register,
+    SparseState,
+    code_residuals,
+    merge_codes,
+    pack_codes,
+    random_states,
+    residual_norm,
+)
 
 __all__ = [
     "Word",
@@ -59,6 +68,17 @@ class SupportBoundExceeded(RuntimeError):
 
 
 # --- Words ---
+
+
+def _mul(G: FiniteGroup, x, y):
+    """Group product x*y of element indices, either of them a per-row
+    array.  Two arrays gather from the flattened table, which is much
+    cheaper than a two-index gather, when the flat index fits int16."""
+    if (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+            and G.order ** 2 <= np.iinfo(np.int16).max + 1):
+        flat = x.astype(np.int16, copy=False) * np.int16(G.order) + y
+        return np.take(G.table.ravel(), flat)
+    return G.table[x, y]
 
 
 @dataclass(frozen=True)
@@ -108,7 +128,7 @@ class Word:
                 a = env[f[1]]
                 if f[2]:
                     a = G.inverse[a]
-                val = G.table[val, a]
+                val = _mul(G, val, a)
         return val
 
     def pretty(self, G: FiniteGroup) -> str:
@@ -166,19 +186,22 @@ class ConditionalMonomial:
 
     # --- Application to states ---
 
-    def _solve_variables(self, state: SparseState) -> tuple[dict, list]:
-        """Per-key arrays for every variable solvable from leading projector
-        factors; remaining variables are returned for enumeration."""
-        G = self.group
-        reg = state.register
-        env: dict = {}
+    @cached_property
+    def _plan(self):
+        """How the action reads variables off a row; it depends on the
+        operator alone.  Returns (steps, free, implied): each step
+        (site, name, prefix, suffix, inverted) solves ``name`` from a
+        leading projector T(prefix name^{+-1} suffix) at ``site``; ``free``
+        lists the variables left to enumerate; ``implied`` holds the
+        (site, factor index) of every projector a step solved from, which
+        holds on every row by construction."""
+        steps, implied = [], set()
         unsolved = set(self.variables)
         progress = True
         while unsolved and progress:
             progress = False
             for site, factors in self.sites.items():
-                digit = None
-                for f in factors:
+                for i, f in enumerate(factors):
                     if f.kind != "T":
                         break  # digit expression changes; stop scanning here
                     w = f.word
@@ -193,38 +216,62 @@ class ConditionalMonomial:
                     if (others - {hits[0][1][1]}) & unsolved:
                         continue
                     k, (_, name, inverted) = hits[0]
-                    if digit is None:
-                        digit = state.keys[:, reg.axis(site)]
-                    a = Word(w.factors[:k]).evaluate(G, env)
-                    b = Word(w.factors[k + 1 :]).evaluate(G, env)
-                    val = G.table[G.table[G.inverse[a], digit], G.inverse[b]]
-                    env[name] = G.inverse[val] if inverted else val
+                    steps.append((site, name, Word(w.factors[:k]),
+                                  Word(w.factors[k + 1 :]), inverted))
+                    implied.add((site, i))
                     unsolved.discard(name)
                     progress = True
-        return env, sorted(unsolved)
+        return tuple(steps), sorted(unsolved), frozenset(implied)
 
-    def _act(self, state: SparseState, env: dict):
-        """(keys, amps, moved): ``moved`` is False when no digit was
-        rewritten, in which case the surviving rows are still in canonical
-        order (a filtered/rephased subset of a canonical state)."""
+    def _solve_variables(self, register: Register,
+                         keys: np.ndarray) -> tuple[dict, list]:
+        """Per-row arrays for every variable solvable from leading projector
+        factors; remaining variables are returned for enumeration."""
         G = self.group
-        reg = state.register
-        keys = state.keys  # copied lazily on the first digit rewrite
-        amps = state.amps if self.scalar == 1.0 else state.amps * self.scalar
+        env: dict = {}
+        steps, free, _ = self._plan
+        for site, name, prefix, suffix, inverted in steps:
+            digit = keys[:, register.axis(site)]
+            a = prefix.evaluate(G, env)
+            b = suffix.evaluate(G, env)
+            if np.ndim(a) or np.ndim(b):
+                val = _mul(G, _mul(G, G.inverse[a], digit), G.inverse[b])
+                env[name] = G.inverse[val] if inverted else val
+                continue
+            # constant prefix and suffix: one lookup per row, none for T(name)
+            lut = G.table[G.table[G.inverse[a], np.arange(G.order)], G.inverse[b]]
+            if inverted:
+                lut = G.inverse[lut]
+            identity = np.array_equal(lut, np.arange(G.order))
+            env[name] = digit if identity else lut[digit]
+        return env, list(free)
+
+    def _act(self, register: Register, keys: np.ndarray, amps: np.ndarray,
+             env: dict):
+        """(keys, amps, moved): ``moved`` is False when no digit was
+        rewritten, in which case the surviving rows keep their input order
+        (a filtered/rephased subset of the input rows)."""
+        G = self.group
+        rows = keys  # copied lazily on the first digit rewrite
+        if self.scalar != 1.0:
+            amps = amps * self.scalar
         alive = None
+        implied = self._plan[2]
         for site, factors in self.sites.items():
-            c = reg.axis(site)
-            digit = keys[:, c]
+            c = register.axis(site)
+            digit = rows[:, c]
             rewritten = False
-            for f in factors:
+            for i, f in enumerate(factors):
                 if f.kind == "T":
+                    if (site, i) in implied:
+                        continue
                     mask = digit == f.word.evaluate(G, env)
                     alive = mask if alive is None else alive & mask
                 elif f.kind == "XL":
-                    digit = G.table[f.word.evaluate(G, env), digit]
+                    digit = _mul(G, f.word.evaluate(G, env), digit)
                     rewritten = True
                 elif f.kind == "XR":
-                    digit = G.table[digit, G.inverse[f.word.evaluate(G, env)]]
+                    digit = _mul(G, digit, G.inverse[f.word.evaluate(G, env)])
                     rewritten = True
                 elif f.kind == "Z":
                     mats = G.irrep(f.irrep_label).matrices
@@ -232,46 +279,56 @@ class ConditionalMonomial:
                 else:  # pragma: no cover
                     raise ValueError(f"unknown factor kind {f.kind}")
             if rewritten:
-                if keys is state.keys:
-                    keys = keys.copy()
-                keys[:, c] = digit
-        moved = keys is not state.keys
+                if rows is keys:
+                    rows = rows.copy()
+                rows[:, c] = digit
+        moved = rows is not keys
         if alive is None:
-            return keys, amps, moved
-        return keys[alive], amps[alive], moved
+            return rows, amps, moved
+        return rows[alive], amps[alive], moved
 
-    def apply(self, state: SparseState) -> SparseState:
-        """Linear action: sum over assignments of every summation variable.
+    def act_rows(self, register: Register, keys: np.ndarray, amps: np.ndarray,
+                 states: int = 1):
+        """Linear action on raw rows: (keys, amps, moved).
 
-        Variables fixed by leading projectors are read off each basis key
-        (cost proportional to the number of keys); any remainder is
-        enumerated exhaustively.
+        Variables fixed by leading projectors are read off each row (cost
+        proportional to the number of rows); any remainder is enumerated
+        exhaustively, within a budget that counts ``states`` equal blocks
+        of stacked rows one block at a time.  Columns of ``keys`` beyond
+        the register's width pass through untouched.  The output rows are
+        not merged: when ``moved`` is True a digit was rewritten or
+        variables were enumerated, so rows may repeat or be out of order;
+        otherwise they are a filtered, rephased subset of the input rows in
+        input order.
         """
         for site in self.sites:
-            if site not in state.register.sites:
+            if site not in register.sites:
                 raise KeyError(f"operator site {site!r} not in register")
-        if len(state) == 0:
-            return state
-        env, free = self._solve_variables(state)
-        n = self.group.order
+        if len(keys) == 0:
+            return keys, amps, False
+        env, free = self._solve_variables(register, keys)
         if not free:
-            keys, amps, moved = self._act(state, env)
-            return SparseState(state.register, keys, amps, canonical=not moved)
-        if n ** len(free) * len(state) > ENUM_CAP * 10:
+            return self._act(register, keys, amps, env)
+        n = self.group.order
+        per_state = len(keys) // states
+        if n ** len(free) * per_state > ENUM_CAP * 10:
             raise RuntimeError(
-                f"enumerating {len(free)} free variables over {len(state)} keys "
+                f"enumerating {len(free)} free variables over {per_state} keys "
                 "exceeds the evaluation budget"
             )
         parts_k, parts_a = [], []
         for combo in itertools.product(range(n), repeat=len(free)):
             env2 = dict(env)
             env2.update(zip(free, combo))
-            k, a, _ = self._act(state, env2)
+            k, a, _ = self._act(register, keys, amps, env2)
             parts_k.append(k)
             parts_a.append(a)
-        return SparseState(
-            state.register, np.concatenate(parts_k), np.concatenate(parts_a)
-        )
+        return np.concatenate(parts_k), np.concatenate(parts_a), True
+
+    def apply(self, state: SparseState) -> SparseState:
+        """Linear action on a state (see ``act_rows``)."""
+        keys, amps, moved = self.act_rows(state.register, state.keys, state.amps)
+        return SparseState(state.register, keys, amps, canonical=not moved)
 
     # --- Printing ---
 
@@ -629,15 +686,24 @@ class VerifyReport:
 
 def verify(stabs: StabilizerSet, state: SparseState,
            tol: float = STABILIZER_TOL) -> VerifyReport:
-    """Max over stabilizers of |S psi - psi| / |psi|."""
-    from .states import residual_norm
+    """Max over stabilizers of |S psi - psi| / |psi|.
 
+    Each residual is taken from the operator's raw output rows against the
+    state's cached sorted codes; only the 1-D packed codes get sorted."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
+    reg = state.register
+    ref = state.packed_codes()
     residuals = {}
     for label, op in stabs:
-        residuals[label] = residual_norm(op.apply(state), state) / norm
+        if ref is None:  # too wide to pack
+            residuals[label] = residual_norm(op.apply(state), state) / norm
+            continue
+        keys, amps, _ = op.act_rows(reg, state.keys, state.amps)
+        codes, amps = merge_codes(pack_codes(keys, reg.group.order), amps)
+        sq = code_residuals(codes, amps, ref, state.amps)[1]
+        residuals[label] = float(np.sqrt(np.sum(sq))) / norm
     return VerifyReport(residuals, tol)
 
 
@@ -664,10 +730,29 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
 def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonomial,
                                      register: Register, rng: np.random.Generator,
                                      states: int = 50, keys_per_state: int = 200) -> float:
-    from .states import random_state, residual_norm
+    """Max over ``states`` seeded random states psi of ||a psi - b psi||.
 
-    worst = 0.0
-    for _ in range(states):
-        psi = random_state(register, rng, keys_per_state)
-        worst = max(worst, residual_norm(a.apply(psi), b.apply(psi)))
-    return worst
+    The states are stacked into one block of rows with a trailing batch
+    column that no operator touches, so each operator acts once; the
+    per-state residuals come from canonicalizing the codes
+    batch * |G|^width + packed key.  Registers too wide for that packing
+    take the states one at a time."""
+    psis = random_states(register, rng, states, keys_per_state)
+    dim = register.dimension
+    if not psis or states * dim >= 2**62:
+        return max((residual_norm(a.apply(p), b.apply(p)) for p in psis),
+                   default=0.0)
+    w, order = register.width, register.group.order
+    keys = np.empty((sum(len(p) for p in psis), w + 1), dtype=np.int32)
+    keys[:, :w] = np.concatenate([p.keys for p in psis])
+    keys[:, w] = np.repeat(np.arange(states), [len(p) for p in psis])
+    amps = np.concatenate([p.amps for p in psis])
+
+    def rows(op):
+        k, am, _ = op.act_rows(register, keys, amps, states=states)
+        codes = k[:, w].astype(np.int64) * dim + pack_codes(k[:, :w], order)
+        return merge_codes(codes, am)
+
+    codes, sq = code_residuals(*rows(a), *rows(b))
+    per_state = np.bincount(codes // dim, weights=sq, minlength=states)
+    return float(np.sqrt(per_state.max()))

@@ -36,6 +36,9 @@ __all__ = [
     "apply_cmult",
     "inner_product",
     "residual_norm",
+    "pack_codes",
+    "merge_codes",
+    "code_residuals",
     "fidelity",
     "project_site",
     "tensor",
@@ -46,6 +49,7 @@ __all__ = [
     "schmidt_data",
     "site_marginal",
     "random_state",
+    "random_states",
     "dump_state",
     "load_state",
 ]
@@ -53,6 +57,7 @@ __all__ = [
 PRUNE_TOL = 1e-14
 DENSE_CAP = 2**20
 RDM_CAP = 4096
+_PACK_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,26 @@ class Register:
         return self.group.order ** len(self.sites)
 
 
+def _merge_runs(boundary: np.ndarray, amps: np.ndarray):
+    """(rows, merged): the first row of each run of equal sorted rows that
+    ``boundary`` marks, and each run's amplitude sum, pruned below
+    PRUNE_TOL."""
+    if boundary.all():  # no duplicates to merge
+        keep = np.abs(amps) > PRUNE_TOL
+        return np.flatnonzero(keep), amps[keep]
+    starts = np.flatnonzero(boundary)
+    merged = np.add.reduceat(amps, starts)
+    keep = np.abs(merged) > PRUNE_TOL
+    return starts[keep], merged[keep]
+
+
+def _sorted_boundary(codes: np.ndarray) -> np.ndarray:
+    boundary = np.empty(len(codes), dtype=bool)
+    boundary[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
+    return boundary
+
+
 def _canonicalize(keys: np.ndarray, amps: np.ndarray, order: int):
     """Sort rows lexicographically, merge duplicates, prune tiny amplitudes.
 
@@ -96,29 +121,19 @@ def _canonicalize(keys: np.ndarray, amps: np.ndarray, order: int):
             return keys.reshape(0, 0), amps[:0], None
         return np.zeros((1, 0), dtype=keys.dtype), np.array([total]), None
     # pack into int64 codes when they fit; fall back to column lexsort
-    if n * np.log2(order) < 62:
-        codes = _pack(keys, order)
+    if _fits_codes(n, order):
+        codes = pack_codes(keys, order)
         perm = np.argsort(codes, kind="stable")
         codes = codes[perm]
-        boundary = np.empty(len(codes), dtype=bool)
-        boundary[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    else:
-        codes = None
-        perm = np.lexsort(keys.T[::-1])
-        sk = keys[perm]
-        boundary = np.empty(m, dtype=bool)
-        boundary[0] = True
-        np.any(sk[1:] != sk[:-1], axis=1, out=boundary[1:])
-    keys = keys[perm]
-    amps = amps[perm]
-    starts = np.flatnonzero(boundary)
-    merged = np.add.reduceat(amps, starts)
-    keys = keys[starts]
-    keep = np.abs(merged) > PRUNE_TOL
-    if codes is not None:
-        codes = codes[starts][keep]
-    return np.ascontiguousarray(keys[keep]), merged[keep], codes
+        rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
+        return np.ascontiguousarray(keys[perm[rows]]), merged, codes[rows]
+    perm = np.lexsort(keys.T[::-1])
+    sk = keys[perm]
+    boundary = np.empty(m, dtype=bool)
+    boundary[0] = True
+    np.any(sk[1:] != sk[:-1], axis=1, out=boundary[1:])
+    rows, merged = _merge_runs(boundary, amps[perm])
+    return np.ascontiguousarray(sk[rows]), merged, None
 
 
 class SparseState:
@@ -183,9 +198,9 @@ class SparseState:
         too wide for a 62-bit packing."""
         if self._codes is None:
             order = self.register.group.order
-            if self.register.width * np.log2(order) >= 62:
+            if not _fits_codes(self.register.width, order):
                 return None
-            object.__setattr__(self, "_codes", _pack(self.keys, order))
+            object.__setattr__(self, "_codes", pack_codes(self.keys, order))
         return self._codes
 
     def normalized(self) -> "SparseState":
@@ -225,12 +240,58 @@ def _check_same_register(a: SparseState, b: SparseState) -> None:
         raise ValueError("states live on different registers")
 
 
-def _pack(keys: np.ndarray, order: int) -> np.ndarray:
-    codes = np.zeros(keys.shape[0], dtype=np.int64)
-    for c in range(keys.shape[1]):
-        codes *= order
-        codes += keys[:, c]
+def _fits_codes(width: int, order: int) -> bool:
+    """Whether ``width`` digits base ``order`` pack into one int64 code."""
+    return width * np.log2(order) < 62
+
+
+def pack_codes(keys: np.ndarray, order: int) -> np.ndarray:
+    """One int64 code per key row, the row read as base-``order`` digits
+    (first column most significant): sorting codes sorts rows."""
+    place = order ** np.arange(keys.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = np.empty(keys.shape[0], dtype=np.int64)
+    # blocks bound the int64 copy of the rows that the product makes
+    for lo in range(0, len(codes), _PACK_BLOCK):
+        np.matmul(keys[lo:lo + _PACK_BLOCK], place, out=codes[lo:lo + _PACK_BLOCK])
     return codes
+
+
+def _unpack(codes: np.ndarray, order: int, width: int) -> np.ndarray:
+    """Key rows of packed codes (the inverse of ``pack_codes``)."""
+    place = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // place % order).astype(np.int16)
+
+
+def merge_codes(codes: np.ndarray, amps: np.ndarray):
+    """Canonical form of a row set given by its packed codes: codes sorted
+    and unique, amplitudes of equal codes summed, sums below PRUNE_TOL
+    dropped.  Only the 1-D codes are sorted, never the key rows."""
+    if len(codes) == 0:
+        return codes, amps
+    perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
+    return codes[rows], merged
+
+
+def code_residuals(ca: np.ndarray, aa: np.ndarray, cb: np.ndarray,
+                   ab: np.ndarray):
+    """(codes, |b - a|^2 per code) over the union of two canonical code
+    sets, so a residual can be summed whole or per group of codes."""
+    if len(ca) == 0:
+        return cb, np.abs(ab) ** 2
+    if len(cb) == 0:
+        return ca, np.abs(aa) ** 2
+    if np.array_equal(ca, cb):  # e.g. a stabilizer applied to its state
+        return cb, np.abs(ab - aa) ** 2
+    ia = np.clip(np.searchsorted(ca, cb), 0, len(ca) - 1)
+    hit = ca[ia] == cb
+    only_a = np.ones(len(ca), dtype=bool)
+    only_a[ia[hit]] = False
+    codes = np.concatenate([cb, ca[only_a]])
+    sq = np.concatenate([np.abs(np.where(hit, ab - aa[ia], ab)) ** 2,
+                         np.abs(aa[only_a]) ** 2])
+    return codes, sq
 
 
 # --- Constructors ---
@@ -277,27 +338,46 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(reg, keys, amps)
 
 
-def random_state(register: Register, rng: np.random.Generator,
-                 n_keys: int = 200) -> SparseState:
-    """Seeded random sparse state: up to ``n_keys`` distinct random keys (the
-    whole basis if smaller) with standard-normal complex amplitudes."""
+def random_states(register: Register, rng: np.random.Generator, count: int,
+                  n_keys: int = 200) -> list:
+    """``count`` seeded random sparse states, drawn in one pass: each has
+    ``n_keys`` distinct keys drawn uniformly without replacement (the
+    whole basis if smaller) and standard-normal complex amplitudes,
+    normalized."""
     n = register.group.order
     w = register.width
-    if w * np.log2(n) <= 20 and register.dimension <= 4 * n_keys:
-        dim = register.dimension
-        count = min(n_keys, dim)
-        codes = rng.permutation(dim)[:count].astype(np.int64)
-        keys = np.zeros((count, w), dtype=np.int16)
-        rem = codes
-        for c in range(w - 1, -1, -1):
-            keys[:, c] = rem % n
-            rem //= n
-    else:
-        keys = np.unique(
-            rng.integers(0, n, size=(2 * n_keys, w)).astype(np.int16), axis=0
-        )[:n_keys]
-    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-    return SparseState(register, keys, amps).normalized()
+    if not _fits_codes(w, n):  # too wide to pack: random subsets of random rows
+        out = []
+        for _ in range(count):
+            rows = np.unique(rng.integers(0, n, size=(2 * n_keys, w)).astype(np.int16),
+                             axis=0)
+            pick = rng.choice(len(rows), size=min(n_keys, len(rows)), replace=False)
+            keys = rows[np.sort(pick)]
+            amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+            out.append(SparseState(register, keys, amps, canonical=True).normalized())
+        return out
+    size = min(n_keys, register.dimension)
+    codes = np.empty((count, size), dtype=np.int64)
+    for i in range(count):
+        codes[i] = rng.choice(register.dimension, size=size, replace=False)
+    codes.sort(axis=1)
+    keys = _unpack(codes.reshape(-1), n, w).reshape(count, size, w)
+    amps = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+    norms = np.linalg.norm(amps, axis=1, keepdims=True)
+    if count and not norms.all():
+        raise ValueError("cannot normalize the zero state")
+    out = []
+    for i in range(count):
+        psi = SparseState(register, keys[i], amps[i] / norms[i], canonical=True)
+        object.__setattr__(psi, "_codes", codes[i])
+        out.append(psi)
+    return out
+
+
+def random_state(register: Register, rng: np.random.Generator,
+                 n_keys: int = 200) -> SparseState:
+    """One seeded random sparse state (see ``random_states``)."""
+    return random_states(register, rng, 1, n_keys)[0]
 
 
 # --- Local operators (one site) ---
@@ -411,14 +491,7 @@ def residual_norm(a: SparseState, b: SparseState) -> float:
     ca, cb = a.packed_codes(), b.packed_codes()
     if ca is None:
         return a.add(b.scaled(-1.0)).norm()
-    ia = np.clip(np.searchsorted(ca, cb), 0, len(ca) - 1)
-    hit = ca[ia] == cb
-    total = np.sum(np.abs(b.amps[hit] - a.amps[ia[hit]]) ** 2)
-    total += np.sum(np.abs(b.amps[~hit]) ** 2)
-    only_a = np.ones(len(ca), dtype=bool)
-    only_a[ia[hit]] = False
-    total += np.sum(np.abs(a.amps[only_a]) ** 2)
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum(code_residuals(ca, a.amps, cb, b.amps)[1])))
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:
@@ -507,9 +580,9 @@ def _bipartition_matrix(state: SparseState, part_a) -> np.ndarray:
     dim_a = order ** len(axes_a)
     if dim_a > RDM_CAP:
         raise ValueError(f"kept dimension {dim_a} exceeds cap {RDM_CAP}")
-    codes_a = _pack(state.keys[:, axes_a], order)
+    codes_a = pack_codes(state.keys[:, axes_a], order)
     if axes_b:
-        codes_b = _pack(state.keys[:, axes_b], order)
+        codes_b = pack_codes(state.keys[:, axes_b], order)
         uniq, col = np.unique(codes_b, return_inverse=True)
         m = np.zeros((dim_a, len(uniq)), dtype=complex)
     else:

@@ -134,3 +134,45 @@ def test_isolated_odd_vertex_still_sums():
     g = build_graph("dot", [("w", "odd")], [])
     net = contract(build_peps(g, G))
     assert net.to_dict() == {(0,): 1.0, (1,): 1.0, (2,): 1.0}
+
+
+def _bond_enumeration(net):
+    """Reference contraction: every bond (and every unbonded copy tensor)
+    takes every group element, and copy tensors mask the assignments
+    whose legs disagree."""
+    g, G = net.graph, net.group
+    odd_cols = {w: list(net.legs[w]) or [w] for w in g.odd_vertices}
+    labels = [e.id for e in g.edges] + [w for w in g.odd_vertices if not net.legs[w]]
+    entries = {}
+    for combo in itertools.product(range(G.order), repeat=len(labels)):
+        val = dict(zip(labels, combo))
+        if any(len({val[c] for c in cols}) > 1 for cols in odd_cols.values()):
+            continue
+        key = []
+        for v in g.vertex_ids:
+            if g.parity(v) == "odd":
+                key.append(val[odd_cols[v][0]])
+                continue
+            word = 0
+            for eid, sense in zip(net.legs[v], net.senses[v]):
+                if sense == "out":
+                    word = int(G.table[val[eid], word])
+            for eid, sense in zip(net.legs[v], net.senses[v]):
+                if sense == "in":
+                    word = int(G.table[word, G.inverse[val[eid]]])
+            key.append(word)
+        entries[tuple(key)] = entries.get(tuple(key), 0.0) + 1.0
+    return entries
+
+
+@pytest.mark.parametrize("graph", [
+    # o1 carries three legs, o0 two
+    general_small,
+    # an isolated odd site next to a two-leg odd site with parallel edges
+    lambda: build_graph("isolated", [("v", "even"), ("w", "odd"), ("u", "odd")],
+                        [Edge("p", "w", "v"), Edge("q", "v", "w")]),
+])
+def test_contraction_matches_bond_enumeration(graph):
+    g = graph()
+    net = build_peps(g, builtin_group("S3"))
+    assert contract(net).to_dict() == _bond_enumeration(net)

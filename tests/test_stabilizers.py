@@ -30,10 +30,19 @@ from gcs.stabilizers import (
     css_stabilizers,
     initial_stabilizers,
     operators_agree_on_basis,
+    operators_agree_on_random_states,
     propagate,
     verify,
 )
-from gcs.states import Register, SparseState, group_basis_state, random_state
+from gcs.stabilizers import _mul
+from gcs.states import (
+    Register,
+    SparseState,
+    group_basis_state,
+    random_state,
+    random_states,
+    residual_norm,
+)
 
 
 def mono(G, variables, sites, scalar=1.0):
@@ -168,7 +177,7 @@ def test_apply_solves_chained_variables_without_enumeration():
         "c": [Factor("XL", Word.var("y"))],
     })
     psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0})
-    env, free = op._solve_variables(psi)
+    env, free = op._solve_variables(reg, psi.keys)
     assert not free
     y = G.table[G.inverse[2], 4]
     out = op.apply(psi)
@@ -346,6 +355,65 @@ def test_support_stays_within_two_neighbourhoods():
         origin = label.split("[")[1].split(",")[0].rstrip("]")
         bound = {origin} | adj[origin] | set().union(*(adj[v] for v in adj[origin]))
         assert set(op.support()) <= bound, label
+
+
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8"])
+def test_flat_table_product_matches_table_lookup(gname):
+    G = builtin_group(gname)
+    x, y = (a.ravel() for a in np.indices((G.order, G.order), dtype=np.int16))
+    assert np.array_equal(_mul(G, x, y), G.table[x, y])
+    assert np.array_equal(_mul(G, x.astype(np.int32), y), G.table[x, y])
+    assert np.array_equal(_mul(G, 3, y), G.table[3, y])
+
+
+# --- Batched route check ---
+
+
+def _route_loop(a, b, reg, seed, states, keys):
+    # the states the batched check draws, one residual_norm each
+    psis = random_states(reg, np.random.default_rng(seed), states, keys)
+    return [residual_norm(a.apply(p), b.apply(p)) for p in psis], psis
+
+
+def _summed_shift(G):
+    # sum[x] Xl(x) at o0: a free variable, so the action enumerates it
+    return mono(G, ("x",), {"o0": [Factor("XL", Word.var("x"))]})
+
+
+@pytest.mark.parametrize("pair", [
+    lambda G, g: (closed_form_odd(g, G, "o0", 1), closed_form_odd(g, G, "o0", 2)),
+    lambda G, g: (closed_form_even(g, G, "e1"), closed_form_odd(g, G, "o1", 3)),
+    lambda G, g: (_summed_shift(G), closed_form_odd(g, G, "o0", 1)),
+])
+def test_batched_route_check_matches_per_state_loop(pair):
+    G = builtin_group("S3")
+    g = general_small()
+    reg = Register(G, g.vertex_ids)
+    a, b = pair(G, g)
+    loop, _ = _route_loop(a, b, reg, 5, 5, 64)
+    batched = operators_agree_on_random_states(
+        a, b, reg, np.random.default_rng(5), states=5, keys_per_state=64)
+    assert batched == pytest.approx(max(loop), rel=1e-12)
+    assert batched > 0.1
+
+
+def test_batched_route_check_catches_a_one_state_mismatch():
+    G = builtin_group("S3")
+    g = general_small()
+    reg = Register(G, g.vertex_ids)
+    _, psis = _route_loop(mono(G, (), {}), mono(G, (), {}), reg, 9, 5, 64)
+    # a key drawn by the last state only
+    seen = {tuple(k) for p in psis[:-1] for k in p.keys.tolist()}
+    key = next(tuple(k) for k in psis[-1].keys.tolist() if tuple(k) not in seen)
+    proj = {s: [Factor("T", Word.const(d))] for s, d in zip(reg.sites, key)}
+    a, b = mono(G, (), proj), mono(G, (), proj, scalar=0.0)
+    loop, _ = _route_loop(a, b, reg, 9, 5, 64)
+    assert loop[:-1] == [0.0] * 4 and loop[-1] > 0
+    batched = operators_agree_on_random_states(
+        a, b, reg, np.random.default_rng(9), states=5, keys_per_state=64)
+    assert batched == pytest.approx(loop[-1], rel=1e-12)
+    assert operators_agree_on_random_states(
+        a, a, reg, np.random.default_rng(9), states=5, keys_per_state=64) == 0.0
 
 
 # --- Frozen small stabilizers ---

@@ -20,8 +20,10 @@ from gcs.states import (
     group_basis_state,
     inner_product,
     load_state,
+    pack_codes,
     project_site,
     random_state,
+    random_states,
     reduced_density_matrix,
     rep_basis_order,
     rep_basis_state,
@@ -30,6 +32,7 @@ from gcs.states import (
     tensor,
     trivial_irrep_state,
 )
+from gcs.states import _unpack
 
 TOL = 1e-12
 
@@ -314,6 +317,47 @@ def test_random_state_deterministic():
     a = random_state(r, np.random.default_rng(42), 10)
     b = random_state(r, np.random.default_rng(42), 10)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("width", [8, 30])  # packed codes; too wide to pack
+def test_random_state_is_an_unbiased_canonical_subset(width):
+    r = Register(builtin_group("S3"), tuple(f"s{i}" for i in range(width)))
+    for seed in range(20):
+        s = random_state(r, np.random.default_rng(seed), 64)
+        # a kept-smallest-keys bias leaves the first site at 0..3
+        assert set(s.keys[:, 0].tolist()) == set(range(6)), seed
+        assert len(s) == 64
+        assert abs(s.norm() - 1.0) < TOL
+        canon = SparseState(r, s.keys, s.amps)
+        assert np.array_equal(canon.keys, s.keys)
+        if s.packed_codes() is not None:
+            assert np.array_equal(canon.packed_codes(), s.packed_codes())
+
+
+def test_random_states_draws_distinct_canonical_states():
+    r = reg("S3", *"abcdef")
+    states = random_states(r, np.random.default_rng(4), 5, 64)
+    assert len(states) == 5
+    assert len({s.keys.tobytes() for s in states}) == 5
+    for s in states:
+        assert len(s) == 64 and abs(s.norm() - 1.0) < TOL
+        assert np.array_equal(SparseState(r, s.keys, s.amps).keys, s.keys)
+
+
+def test_pack_codes_matches_digit_loop():
+    rng = np.random.default_rng(8)
+    keys = rng.integers(0, 6, size=(20000, 9)).astype(np.int16)  # several blocks
+    want = np.zeros(len(keys), dtype=np.int64)
+    for c in range(keys.shape[1]):
+        want = want * 6 + keys[:, c]
+    assert np.array_equal(pack_codes(keys, 6), want)
+    assert np.array_equal(_unpack(want, 6, 9), keys)
+
+
+def test_random_state_whole_basis_when_small():
+    r = reg("Z3", "a", "b")
+    s = random_state(r, np.random.default_rng(3), 50)
+    assert len(s) == 9
 
 
 def test_states_are_value_like():
