@@ -25,9 +25,27 @@ __all__ = [
     "depth",
     "build_cluster_state",
     "build_qubit_reference",
+    "OverBudget",
+    "check_keys",
 ]
 
 MAX_KEYS = 8_000_000
+
+
+class OverBudget(ValueError):
+    """A state would hold more than ``MAX_KEYS`` keys."""
+
+
+def check_keys(G: FiniteGroup, n_odd: int) -> int:
+    """|G|^n_odd, the key count of a cluster state with ``n_odd`` odd
+    sites; raises ``OverBudget`` past ``MAX_KEYS``."""
+    total = G.order ** n_odd
+    if total > MAX_KEYS:
+        raise OverBudget(
+            f"{total} keys ({G.name}^{n_odd}) exceed the state budget "
+            f"{MAX_KEYS}; reduce odd sites or group order"
+        )
+    return total
 
 
 @dataclass(frozen=True)
@@ -73,12 +91,7 @@ def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
     reg = Register(G, g.vertex_ids)
     odd_axes = [reg.axis(v) for v in g.odd_vertices]
     n = G.order
-    total = n ** len(odd_axes)
-    if total > MAX_KEYS:
-        raise ValueError(
-            f"{total} keys exceed the builder cap {MAX_KEYS}; "
-            "reduce odd sites or group order"
-        )
+    total = check_keys(G, len(odd_axes))
     keys = np.zeros((total, reg.width), dtype=np.int16)
     codes = np.arange(total, dtype=np.int64)
     for ax in reversed(odd_axes):

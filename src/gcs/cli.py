@@ -3,7 +3,8 @@
 Every subcommand assembles a run report — command, input hashes, effective
 tolerances, per-check residuals, pass/fail — and exits 0 only when every
 check passed.  Exit 2 flags bad input (unknown group, malformed graph file,
-out-of-budget request) before any check runs; exit 1 flags a check failure.
+a state past the builder's key budget) before any check runs; exit 1 flags
+a check failure.
 Reports are deterministic for fixed inputs and seed up to the wall-time
 field, which consumers strip before diffing.
 """
@@ -19,8 +20,8 @@ import time
 
 import numpy as np
 
-from .builder import build_cluster_state, schedule
-from .corpus import build_corpus, corpus_battery, corpus_pairs, derive_seed
+from .builder import OverBudget, build_cluster_state, schedule
+from .corpus import build_corpus, corpus_battery, corpus_pairs, stabilizer_residuals
 from .graphs import graph_to_json, load_graph_file, ring_graph
 from .groups import (
     ALGEBRA_TOL,
@@ -37,15 +38,7 @@ from .qdouble import (
     random_plaquette_outcomes,
     sector_matched_fidelity,
 )
-from .stabilizers import (
-    STABILIZER_TOL,
-    closed_form_stabilizers,
-    initial_stabilizers,
-    operators_agree_on_random_states,
-    propagate,
-    verify,
-)
-from .states import Register
+from .stabilizers import STABILIZER_TOL, verify
 from .symmetry import verify_symmetry_algebra
 
 __all__ = ["main", "run"]
@@ -188,22 +181,11 @@ def _cmd_stabilizers(args) -> dict:
     g, fhash = _load_graph(args.graph)
     tol = args.tol if args.tol is not None else STABILIZER_TOL
     psi = build_cluster_state(g, G)
-    closed = closed_form_stabilizers(g, G)
-    propagated = propagate(schedule(g), initial_stabilizers(g, G))
-    checks = []
-    for route, stabs in (("closed", closed), ("propagated", propagated)):
-        rep = verify(stabs, psi, tol=tol)
-        for label, residual in rep.residuals.items():
-            checks.append(_check(f"{route}:{label}", residual, tol))
-    if args.cross_check:
-        reg = Register(G, g.vertex_ids)
-        by_label = {lab: op for lab, op in propagated}
-        for lab, op in closed:
-            rng = np.random.default_rng(
-                derive_seed(args.seed, g.name, G.name, lab))
-            dev = operators_agree_on_random_states(
-                op, by_label[lab], reg, rng, states=5, keys_per_state=64)
-            checks.append(_check(f"routes:{lab}", dev, tol))
+    res = stabilizer_residuals(g, G, psi, args.seed,
+                               5 if args.cross_check else 0)
+    checks = [_check(f"{route}:{label}", residual, tol)
+              for route, residuals in res.items()
+              for label, residual in residuals.items()]
     return _assemble("stabilizers", {"group": ghash, "graph": fhash},
                      {"residual": tol}, checks, args.seed)
 
@@ -228,7 +210,12 @@ def _cmd_measure(args) -> dict:
             if len(parts) != 3:
                 raise InputError(
                     "rep-basis forced outcome must be 'irrep,i,j'")
-            forced = (parts[0], int(parts[1]), int(parts[2]))
+            try:
+                forced = (parts[0], int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise InputError(
+                    f"rep-basis forced outcome wants integer indices, "
+                    f"got {args.forced!r}")
     rng = np.random.default_rng(args.seed)
     try:
         out = measure(psi, args.site, args.basis, rng=rng, forced=forced)
@@ -256,6 +243,8 @@ def _cmd_symmetry(args) -> dict:
     G, ghash = _load_group(args.group)
     if (args.graph is None) == (args.ring is None):
         raise InputError("pass exactly one of --graph or --ring")
+    if args.states < 1:
+        raise InputError(f"--states needs at least 1, got {args.states}")
     if args.graph is not None:
         g, fhash = _load_graph(args.graph)
     else:
@@ -282,10 +271,7 @@ def _cmd_peps_compare(args) -> dict:
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
     tol = args.tol if args.tol is not None else STABILIZER_TOL
-    try:
-        fid = compare_to_circuit(g, G)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc))
+    fid = compare_to_circuit(g, G)
     checks = [_fidelity_check("contract_vs_circuit", fid, tol)]
     return _assemble("peps-compare", {"group": ghash, "graph": fhash},
                      {"fidelity_gap": tol}, checks, None,
@@ -371,9 +357,8 @@ def _cmd_corpus(args) -> dict:
         label = f"{res['graph']}+{res['group']}"
         worst = max(res["closed_form_max_residual"],
                     res["propagated_max_residual"],
-                    res["routes_max_residual"])
-        if "peps_fidelity" in res:
-            worst = max(worst, 1.0 - res["peps_fidelity"])
+                    res["routes_max_residual"],
+                    1.0 - res["peps_fidelity"])
         checks.append(_check(label, worst, tol))
     corpus_hash = _canonical_hash(
         [graph_to_json(e.graph) for e in build_corpus()])
@@ -478,7 +463,7 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.fn(args)
-    except InputError as exc:
+    except (InputError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["wall_time_s"] = round(time.perf_counter() - start, 6)

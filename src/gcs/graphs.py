@@ -93,9 +93,6 @@ class GraphReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> dict:
-        return {"violations": list(self.violations), "notes": list(self.notes)}
-
 
 def validate_graph(g: ClusterGraph) -> GraphReport:
     bad: list[str] = []

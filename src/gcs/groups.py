@@ -132,14 +132,6 @@ class ValidationReport:
     def passed(self, tol: float = ALGEBRA_TOL) -> bool:
         return not self.violations and self.max_residual <= tol
 
-    def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "violations": list(self.violations),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "max_residual": float(self.max_residual),
-        }
-
 
 # --- Validation ---
 

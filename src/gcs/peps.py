@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import build_cluster_state
+from .builder import build_cluster_state, check_keys
 from .graphs import ClusterGraph
 from .groups import FiniteGroup
 from .states import Register, SparseState, fidelity
@@ -33,8 +33,6 @@ __all__ = [
     "contract",
     "compare_to_circuit",
 ]
-
-CONTRACTION_BUDGET = 10**8
 
 
 def odd_tensor(G: FiniteGroup, legs: int) -> np.ndarray:
@@ -101,27 +99,21 @@ def build_peps(g: ClusterGraph, G: FiniteGroup) -> PepsNetwork:
     return PepsNetwork(g, G, G.order, legs, senses)
 
 
-def contract(net: PepsNetwork, budget: int = CONTRACTION_BUDGET) -> SparseState:
+def contract(net: PepsNetwork) -> SparseState:
     """Exact contraction of every bond.
 
     A copy tensor forces each leg of an odd site to that site's digit, so
     only the n^#odd assignments of one element per odd site survive the
     sum over bonds: each is enumerated once, and every bond takes the digit
-    of its odd endpoint.  ``budget`` still bounds the full bond
-    enumeration, n^(#bonds + #isolated odd sites).  Returns the
+    of its odd endpoint.  That is the circuit state's key count, so the
+    builder's state budget (``check_keys``) bounds it.  Returns the
     unnormalized physical state (every surviving assignment contributes
     amplitude 1)."""
     g, G = net.graph, net.group
     n = G.order
-    isolated = [w for w in g.odd_vertices if not net.legs[w]]
-    total = n ** (len(g.edges) + len(isolated))
-    if total > budget:
-        raise RuntimeError(
-            f"bond enumeration needs {total} assignments, over the budget {budget}"
-        )
     reg = Register(G, g.vertex_ids)
     odd = g.odd_vertices
-    rows = n ** len(odd)
+    rows = check_keys(G, len(odd))
     keys = np.zeros((rows, reg.width), dtype=np.int16)
     idx = np.arange(rows)
     for w in reversed(odd):
@@ -135,7 +127,6 @@ def contract(net: PepsNetwork, budget: int = CONTRACTION_BUDGET) -> SparseState:
     return SparseState(reg, keys, np.ones(rows, dtype=complex))
 
 
-def compare_to_circuit(g: ClusterGraph, G: FiniteGroup,
-                       budget: int = CONTRACTION_BUDGET) -> float:
+def compare_to_circuit(g: ClusterGraph, G: FiniteGroup) -> float:
     """Fidelity between the contracted network and the circuit state."""
-    return fidelity(contract(build_peps(g, G), budget), build_cluster_state(g, G))
+    return fidelity(contract(build_peps(g, G)), build_cluster_state(g, G))

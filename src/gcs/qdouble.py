@@ -33,7 +33,7 @@ from .builder import build_cluster_state
 from .graphs import ClusterGraph, Edge, build_graph
 from .groups import FiniteGroup, centralizer, conjugacy_classes
 from .stabilizers import ConditionalMonomial, Factor, StabilizerSet, Word
-from .states import Register, SparseState, fidelity, project_site
+from .states import Register, SparseState, fidelity, project_site, residual_norm
 
 __all__ = [
     "QdLattice",
@@ -512,9 +512,8 @@ def conjugacy_class_projection_check(G: FiniteGroup, member: int,
     residual_class = 0.0
     for g in range(G.order):
         op = _mini_star_operator(G, g)
-        residual_class = max(
-            residual_class, op.apply(uniform).add(uniform.scaled(-1.0)).norm()
-        )
+        residual_class = max(residual_class,
+                             residual_norm(op.apply(uniform), uniform))
     h = member
     basis = {}
     for red, out in (("SW", 0), ("SE", h), ("NW", 0), ("NE", h)):
@@ -530,7 +529,7 @@ def conjugacy_class_projection_check(G: FiniteGroup, member: int,
     residual_outside = np.inf
     for g in range(G.order):
         op = _mini_star_operator(G, g)
-        r = op.apply(pinned).add(pinned.scaled(-1.0)).norm()
+        r = residual_norm(op.apply(pinned), pinned)
         if g in commuting:
             residual_centralizer = max(residual_centralizer, r)
         else:

@@ -674,15 +674,6 @@ class VerifyReport:
                 return lab
         return None
 
-    def as_dict(self) -> dict:
-        return {
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "max_residual": float(self.max_residual),
-            "tol": self.tol,
-            "passed": self.passed,
-            "first_failure": self.first_failure,
-        }
-
 
 def verify(stabs: StabilizerSet, state: SparseState,
            tol: float = STABILIZER_TOL) -> VerifyReport:
@@ -722,8 +713,7 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
         for ax, val in zip(axes, combo):
             key[ax] = val
         basis = SparseState.from_dict(register, {tuple(key): 1.0})
-        diff = a.apply(basis).add(b.apply(basis).scaled(-1.0))
-        worst = max(worst, diff.norm())
+        worst = max(worst, residual_norm(a.apply(basis), b.apply(basis)))
     return worst
 
 

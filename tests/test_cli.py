@@ -103,6 +103,13 @@ def test_measure_rep_basis(tmp_path, capsys):
     assert sum(p for _, p in rep["distribution"]) == pytest.approx(1.0)
 
 
+def test_measure_non_integer_rep_indices_are_input_error(tmp_path, capsys):
+    path = _write_graph(tmp_path, line_graph(3, "o"))
+    assert run(["measure", "--group", "S3", "--graph", path, "--site", "1",
+                "--basis", "rep", "--forced", "std,a,0"]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_measure_unknown_site_is_input_error(tmp_path):
     path = _write_graph(tmp_path, line_graph(3, "e"))
     assert run(["measure", "--group", "Z2", "--graph", path,
@@ -115,6 +122,13 @@ def test_measure_unknown_site_is_input_error(tmp_path):
 def test_symmetry_ring_flag():
     assert run(["symmetry", "--group", "Z3", "--ring", "6",
                 "--states", "3"]) == 0
+
+
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_symmetry_needs_a_state(capsys, states):
+    assert run(["symmetry", "--group", "Z3", "--ring", "6",
+                "--states", states]) == 2
+    assert "--states" in capsys.readouterr().err
 
 
 def test_symmetry_rejects_odd_ring():
@@ -137,10 +151,30 @@ def test_peps_compare_ring(tmp_path):
 
 
 def test_peps_compare_over_budget_is_input_error(tmp_path, capsys):
-    from gcs.qdouble import build_qd_lattice, qd_cluster_graph
-    path = _write_graph(tmp_path, qd_cluster_graph(build_qd_lattice(2, 4)))
-    assert run(["peps-compare", "--group", "Z2", "--graph", path]) == 2
+    # 8^8 rows, one per assignment of the eight odd sites: past MAX_KEYS
+    path = _write_graph(tmp_path, ring_graph(16))
+    assert run(["peps-compare", "--group", "Z8", "--graph", path]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_peps_compare_torus(tmp_path):
+    # 3^8 rows although the torus has 32 bonds
+    from gcs.qdouble import build_qd_lattice, qd_cluster_graph
+    path = _write_graph(tmp_path, qd_cluster_graph(build_qd_lattice(2, 2)))
+    assert run(["peps-compare", "--group", "Z3", "--graph", path]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["stabilizers", "--cross-check"],
+    ["measure", "--site", "1"],
+])
+def test_state_over_budget_is_input_error(tmp_path, capsys, argv):
+    path = _write_graph(tmp_path, ring_graph(16))
+    assert run([*argv, "--group", "Z8", "--graph", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err
+    assert "Traceback" not in err
 
 
 # --- qdouble ---

@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import pytest
 
+from gcs.builder import build_cluster_state
 from gcs.corpus import (
     build_corpus,
     corpus_battery,
     corpus_entry,
     corpus_pairs,
     derive_seed,
+    stabilizer_residuals,
 )
+from gcs.groups import builtin_group
 
 EXPECTED_NAMES = (
     "line3e", "line3o", "line4e", "line5o", "line6e", "line7o", "line8e",
@@ -162,8 +165,21 @@ def test_battery_passes_on_varied_pairs():
         assert res["checks_passed"], (name, gname, res)
 
 
-def test_battery_skips_contraction_when_too_large():
-    # 2^32 virtual assignments on the 32-edge graph: far past the budget
+def test_battery_contracts_the_torus():
+    # 32 bonds but only 2^8 rows, one per assignment of the odd sites
     res = corpus_battery(corpus_entry("qd2x2"), "Z2")
-    assert "peps_fidelity" not in res
+    assert res["peps_fidelity"] == pytest.approx(1.0, abs=1e-12)
     assert res["checks_passed"]
+
+
+def test_stabilizer_residuals_routes():
+    entry = corpus_entry("general-small")
+    G = builtin_group("S3")
+    psi = build_cluster_state(entry.graph, G)
+    full = stabilizer_residuals(entry.graph, G, psi, seed=3)
+    assert list(full) == ["closed", "propagated", "routes"]
+    assert list(full["routes"]) == list(full["closed"])
+    assert set(full["closed"]) == set(full["propagated"])
+    assert max(max(r.values()) for r in full.values()) <= 1e-10
+    bare = stabilizer_residuals(entry.graph, G, psi, seed=3, routes_states=0)
+    assert bare == {**full, "routes": {}}

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gcs.builder import build_cluster_state
+from gcs.builder import OverBudget, build_cluster_state
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
 from gcs.groups import builtin_group
 from gcs.peps import (
@@ -123,10 +123,11 @@ def test_scrambled_order_is_a_different_state():
 
 
 def test_budget_guard():
+    # 6^9 rows, one per assignment of the nine odd sites: past MAX_KEYS
     G = builtin_group("S3")
-    g = ring_graph(8)
-    with pytest.raises(RuntimeError, match="budget"):
-        contract(build_peps(g, G), budget=100)
+    g = ring_graph(18)
+    with pytest.raises(OverBudget, match="budget"):
+        contract(build_peps(g, G))
 
 
 def test_isolated_odd_vertex_still_sums():
