@@ -12,8 +12,10 @@ field, which consumers strip before diffing.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,6 +27,8 @@ from .corpus import build_corpus, corpus_battery, corpus_pairs, stabilizer_resid
 from .graphs import graph_to_json, load_graph_file, ring_graph
 from .groups import (
     ALGEBRA_TOL,
+    catalog_digest,
+    catalog_names,
     group_to_json,
     resolve_group,
     validate_group,
@@ -66,10 +70,11 @@ def _load_group(spec: str):
         G = resolve_group(spec)
     except (KeyError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load group {spec!r}: {exc}")
-    if os.path.exists(spec):
-        digest = _sha256_file(spec)
+    # resolve_group prefers the catalog over a file of the same name
+    if spec in catalog_names():
+        digest = catalog_digest(spec)
     else:
-        digest = _canonical_hash(group_to_json(G))
+        digest = _sha256_file(spec)
     return G, {"spec": spec, "sha256": digest}
 
 
@@ -371,7 +376,22 @@ def _cmd_corpus(args) -> dict:
 # --- Entry point ---
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite float >= 0; anything else is a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run``;
+    ``parse_args`` gives each call a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="gcs",
         description="exact construction and verification of generalized "
@@ -388,7 +408,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="graph JSON file")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="override the default tolerance")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--json", action="store_true",
@@ -398,7 +418,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("validate", "show"))
     p.add_argument("--name", dest="group", required=True,
                    help="catalog name or group JSON file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_group)

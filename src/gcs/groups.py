@@ -13,6 +13,8 @@ claimed to match any external source.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,6 +29,7 @@ __all__ = [
     "validate_irreps",
     "conjugacy_classes",
     "builtin_group",
+    "catalog_digest",
     "catalog_names",
     "rep_tensor",
     "rep_direct_sum",
@@ -431,13 +434,33 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def builtin_group(name: str) -> FiniteGroup:
+    """The catalog group ``name``, built once per process and shared.
+
+    Its ``table``, ``inverse`` and irrep ``matrices`` are read-only, so no
+    caller can change the group every other caller sees.
+    """
+    return _catalog_entry(name)[0]
+
+
+def catalog_digest(name: str) -> str:
+    """sha256 of the catalog group's canonical JSON (``group_to_json`` with
+    sorted keys), computed once per process."""
+    return _catalog_entry(name)[1]
+
+
+@functools.cache
+def _catalog_entry(name: str) -> tuple[FiniteGroup, str]:
     try:
         builder = _CATALOG_BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown group {name!r}; catalog: {', '.join(_CATALOG_BUILDERS)}"
         )
-    return builder()
+    G = builder()
+    for arr in (G.table, G.inverse, *(r.matrices for r in G.irreps)):
+        arr.setflags(write=False)
+    text = json.dumps(group_to_json(G), sort_keys=True)
+    return G, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # --- Serialization ---

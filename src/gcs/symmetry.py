@@ -69,10 +69,17 @@ def ring_even_cycle(g: ClusterGraph) -> tuple:
 def apply_u_odd(state: SparseState, g: ClusterGraph, x: int) -> SparseState:
     """Right-multiply every odd digit by x^-1 (the odd global symmetry)."""
     ring_even_cycle(g)
+    return _u_odd(state, _axes(state.register, g.odd_vertices), x)
+
+
+def _axes(reg: Register, sites) -> list[int]:
+    return [reg.axis(v) for v in sites]
+
+
+def _u_odd(state: SparseState, odd_axes, x: int) -> SparseState:
     G = state.register.group
     keys = state.keys.copy()
-    for w in g.odd_vertices:
-        c = state.register.axis(w)
+    for c in odd_axes:
         keys[:, c] = G.table[keys[:, c], G.inverse[x]]
     return SparseState(state.register, keys, state.amps.copy())
 
@@ -91,9 +98,13 @@ def apply_u_even(state: SparseState, g: ClusterGraph, irrep,
     """
     rep = _resolve_irrep(state.register.group, irrep)
     cycle = ring_even_cycle(g)
-    axes = [state.register.axis(v) for v in cycle]
-    prod = rep.matrices[state.keys[:, axes[0]]]
-    for ax in axes[1:]:
+    return _u_even(state, _axes(state.register, cycle), rep, normalized)
+
+
+def _u_even(state: SparseState, cycle_axes, rep: Irrep,
+            normalized: bool) -> SparseState:
+    prod = rep.matrices[state.keys[:, cycle_axes[0]]]
+    for ax in cycle_axes[1:]:
         prod = prod @ rep.matrices[state.keys[:, ax]]
     coeff = np.einsum("mii->m", prod)
     if normalized:
@@ -110,9 +121,11 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
     additive only without the 1/dim factors, and the tensor law holds either
     way.  Composition of the odd family follows the group itself.
     """
-    ring_even_cycle(g)
+    cycle = ring_even_cycle(g)
     rng = rng or np.random.default_rng(0)
     reg = Register(G, g.vertex_ids)
+    odd_axes = _axes(reg, g.odd_vertices)
+    even_axes = _axes(reg, cycle)
     checks: dict[str, float] = {
         "odd_composition": 0.0,
         "odd_identity": 0.0,
@@ -126,7 +139,14 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
     if len(pairs) > 36:
         idx = rng.choice(len(pairs), size=36, replace=False)
         pairs = [pairs[i] for i in idx]
-    irrep_pairs = [(r1, r2) for r1 in G.irreps for r2 in G.irreps]
+    irrep_pairs = [(r1, r2, rep_tensor(r1, r2), rep_direct_sum(r1, r2))
+                   for r1 in G.irreps for r2 in G.irreps]
+
+    def odd(state, x):
+        return _u_odd(state, odd_axes, x)
+
+    def even(state, rep):
+        return _u_even(state, even_axes, rep, normalized=False)
 
     def note(name, lhs, rhs):
         checks[name] = max(checks[name], residual_norm(lhs, rhs))
@@ -134,26 +154,17 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
     for _ in range(states):
         psi = random_state(reg, rng, 40).normalized()
         for a, b in pairs:
-            note("odd_composition", apply_u_odd(apply_u_odd(psi, g, b), g, a),
-                 apply_u_odd(psi, g, G.table[a, b]))
-        note("odd_identity", apply_u_odd(psi, g, 0), psi)
-        note("even_trivial_identity",
-             apply_u_even(psi, g, G.irreps[0], normalized=False), psi)
-        for r1, r2 in irrep_pairs:
-            lhs = apply_u_even(psi, g, rep_tensor(r1, r2), normalized=False)
-            rhs = apply_u_even(apply_u_even(psi, g, r1, normalized=False), g, r2,
-                               normalized=False)
-            note("even_tensor", lhs, rhs)
-            lhs = apply_u_even(psi, g, rep_direct_sum(r1, r2), normalized=False)
-            rhs = apply_u_even(psi, g, r1, normalized=False).add(
-                apply_u_even(psi, g, r2, normalized=False)
-            )
-            note("even_direct_sum", lhs, rhs)
+            note("odd_composition", odd(odd(psi, b), a), odd(psi, G.table[a, b]))
+        note("odd_identity", odd(psi, 0), psi)
+        note("even_trivial_identity", even(psi, G.irreps[0]), psi)
+        for r1, r2, r12, r1_r2 in irrep_pairs:
+            note("even_tensor", even(psi, r12), even(even(psi, r1), r2))
+            note("even_direct_sum", even(psi, r1_r2),
+                 even(psi, r1).add(even(psi, r2)))
         for x in {1 % n, n - 1}:
             for r in G.irreps:
-                lhs = apply_u_even(apply_u_odd(psi, g, x), g, r, normalized=False)
-                rhs = apply_u_odd(apply_u_even(psi, g, r, normalized=False), g, x)
-                note("odd_even_commutation", lhs, rhs)
+                note("odd_even_commutation", even(odd(psi, x), r),
+                     odd(even(psi, r), x))
     worst = max(checks.values())
     return {
         "checks": {k: float(v) for k, v in checks.items()},

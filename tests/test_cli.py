@@ -3,13 +3,16 @@ determinism of reports across runs, and the documented error paths."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from gcs import cli
 from gcs.cli import run
 from gcs.graphs import graph_to_json, line_graph, ring_graph
 from gcs.corpus import general_small_graph
+from gcs.groups import builtin_group, group_to_json
 
 
 def _write_graph(tmp_path, g, name=None):
@@ -38,6 +41,26 @@ def test_group_validate_tight_tolerance_fails():
 def test_unknown_group_is_input_error(capsys):
     assert run(["group", "validate", "--name", "nope"]) == 2
     assert "cannot load group" in capsys.readouterr().err
+
+
+def test_group_digest_follows_catalog_precedence(tmp_path, monkeypatch, capsys):
+    # a file named like a catalog group does not shadow the catalog entry,
+    # so the report carries the catalog group's canonical digest
+    shadow = tmp_path / "S3"
+    shadow.write_text(json.dumps(group_to_json(builtin_group("Z2"))))
+    monkeypatch.chdir(tmp_path)
+    canonical = json.dumps(group_to_json(builtin_group("S3")), sort_keys=True)
+    assert run(["group", "validate", "--name", "S3", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["inputs"]["group"]["sha256"] == hashlib.sha256(
+        canonical.encode("utf-8")).hexdigest()
+    # a path that is not a catalog name still reports the file's bytes
+    path = tmp_path / "z2.json"
+    path.write_bytes(shadow.read_bytes())
+    assert run(["group", "validate", "--name", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["inputs"]["group"]["sha256"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
 
 
 def test_group_show_dumps_tables(tmp_path):
@@ -263,6 +286,75 @@ def test_failure_report_names_first_failing_check(capsys):
     assert rep["passed"] is False
     assert rep["first_failure"] is not None
     assert any(not c["passed"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "--group", "Z2", "--ring", "4"],
+    ["group", "validate", "--name", "Z2"],
+    ["corpus", "--max-edges", "2"],
+])
+def test_bad_tolerance_is_usage_error(argv, tol, capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_symmetry_algebra", no_checks)
+    monkeypatch.setattr(cli, "validate_group", no_checks)
+    monkeypatch.setattr(cli, "corpus_battery", no_checks)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted():
+    assert run(["group", "validate", "--name", "Z2", "--tol", "0"]) in (0, 1)
+
+
+# --- repeated in-process runs ---
+
+
+def test_repeated_runs_share_no_parsed_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    forced = ["qdouble", "--group", "Z2", "--outcome", "p[0,0]=1",
+              "--outcome", "p[1,0]=1"]
+    for _ in range(2):
+        assert cli._parser().parse_args(forced).outcome == [
+            "p[0,0]=1", "p[1,0]=1"]
+        assert run([*forced, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert "toric_fidelity" not in rep
+    assert cli._parser().parse_args(forced[:3]).outcome is None
+    assert run(["qdouble", "--group", "Z2", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep["outcomes"].values()) == {"0"}
+    assert rep["toric_fidelity"] == pytest.approx(1.0)
+
+    ring = ["symmetry", "--group", "Z2", "--ring", "4"]
+    first = tmp_path / "first.json"
+    assert run([*ring, "--json", "--out", str(first), "--seed", "5",
+                "--states", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["seed"], rep["states"]) == (5, 2)
+    first.unlink()
+    assert run(ring) == 0
+    assert not capsys.readouterr().out.startswith("{")  # summary, not JSON
+    assert not first.exists()
+    second = tmp_path / "second.json"
+    assert run([*ring, "--out", str(second)]) == 0
+    rep = _read_report(second)
+    assert (rep["seed"], rep["states"]) == (0, 10)
+
+
+def test_bad_argv_exits_2_on_every_call():
+    bad = (["frobnicate"], ["group", "validate"],
+           ["symmetry", "--group", "Z2", "--ring", "four"])
+    for _ in range(3):
+        for argv in bad:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+        assert run(["group", "validate", "--name", "Z2"]) == 0
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gcs.groups import (
     builtin_group,
+    catalog_digest,
     catalog_names,
     centralizer,
     conjugacy_classes,
@@ -168,3 +170,18 @@ def test_loader_rejects_corrupt_file():
     # but loads with validation off
     H = group_from_json(obj, validate=False)
     assert H.order == 3
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_groups_are_shared_and_read_only(name):
+    G = builtin_group(name)
+    assert builtin_group(name) is G
+    with pytest.raises(ValueError):
+        G.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        G.inverse[0] = 1
+    for r in G.irreps:
+        with pytest.raises(ValueError):
+            r.matrices[0, 0, 0] = 2.0
+    text = json.dumps(group_to_json(G), sort_keys=True)
+    assert catalog_digest(name) == hashlib.sha256(text.encode("utf-8")).hexdigest()

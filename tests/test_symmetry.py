@@ -8,8 +8,9 @@ import pytest
 
 from gcs.builder import build_cluster_state
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph
-from gcs.groups import builtin_group, rep_tensor
-from gcs.states import Register, fidelity, random_state
+from gcs import symmetry
+from gcs.groups import builtin_group, rep_direct_sum, rep_tensor
+from gcs.states import Register, fidelity, random_state, residual_norm
 from gcs.symmetry import (
     apply_u_even,
     apply_u_odd,
@@ -127,3 +128,65 @@ def test_odd_symmetry_composition_matches_group():
             rhs = apply_u_odd(chi, g, G.table[a, b])
             assert lhs.add(rhs.scaled(-1.0)).norm() < 1e-12
     assert fidelity(apply_u_odd(psi, g, 3), psi) == pytest.approx(1.0)
+
+
+def _algebra_via_public_operators(g, G, rng, states):
+    """verify_symmetry_algebra's residuals, taken with the public operators
+    that validate the ring on every call."""
+    checks = dict.fromkeys(("odd_composition", "odd_identity",
+                            "even_trivial_identity", "even_tensor",
+                            "even_direct_sum", "odd_even_commutation"), 0.0)
+    reg = Register(G, g.vertex_ids)
+    n = G.order
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    if len(pairs) > 36:
+        idx = rng.choice(len(pairs), size=36, replace=False)
+        pairs = [pairs[i] for i in idx]
+
+    def odd(state, x):
+        return apply_u_odd(state, g, x)
+
+    def even(state, rep):
+        return apply_u_even(state, g, rep, normalized=False)
+
+    def note(name, lhs, rhs):
+        checks[name] = max(checks[name], residual_norm(lhs, rhs))
+
+    for _ in range(states):
+        psi = random_state(reg, rng, 40).normalized()
+        for a, b in pairs:
+            note("odd_composition", odd(odd(psi, b), a), odd(psi, G.table[a, b]))
+        note("odd_identity", odd(psi, 0), psi)
+        note("even_trivial_identity", even(psi, G.irreps[0]), psi)
+        for r1 in G.irreps:
+            for r2 in G.irreps:
+                note("even_tensor", even(psi, rep_tensor(r1, r2)),
+                     even(even(psi, r1), r2))
+                note("even_direct_sum", even(psi, rep_direct_sum(r1, r2)),
+                     even(psi, r1).add(even(psi, r2)))
+        for x in {1 % n, n - 1}:
+            for r in G.irreps:
+                note("odd_even_commutation", even(odd(psi, x), r),
+                     odd(even(psi, r), x))
+    return checks
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("gname", ["S3", "Q8"])
+def test_algebra_validates_the_ring_once(n, gname, monkeypatch):
+    G = builtin_group(gname)
+    g = ring_graph(n)
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return ring_even_cycle(graph)
+
+    monkeypatch.setattr(symmetry, "ring_even_cycle", counted)
+    report = verify_symmetry_algebra(g, G, rng=np.random.default_rng(n),
+                                     states=3)
+    assert calls == [g]
+    monkeypatch.undo()
+    want = _algebra_via_public_operators(g, G, np.random.default_rng(n), 3)
+    assert report["checks"] == want
+    assert report["passed"]
