@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import ClusterGraph
 from .groups import FiniteGroup
-from .states import DENSE_CAP, Register, SparseState
+from .states import DENSE_CAP, OverBudget, Register, SparseState
 
 __all__ = [
     "Gate",
@@ -27,13 +27,10 @@ __all__ = [
     "build_qubit_reference",
     "OverBudget",
     "check_keys",
+    "odd_assignments",
 ]
 
 MAX_KEYS = 8_000_000
-
-
-class OverBudget(ValueError):
-    """A state would hold more than ``MAX_KEYS`` keys."""
 
 
 def check_keys(G: FiniteGroup, n_odd: int) -> int:
@@ -85,18 +82,25 @@ def depth(sched: GateSchedule) -> int:
     return max(counts.values(), default=0)
 
 
+def odd_assignments(g: ClusterGraph, reg: Register) -> np.ndarray:
+    """Key rows of every assignment of one element per odd site of ``g``,
+    even digits at the identity.  Row i holds i's base-|G| digits, the last
+    odd vertex least significant; ``check_keys`` bounds the row count."""
+    n = reg.group.order
+    total = check_keys(reg.group, len(g.odd_vertices))
+    keys = np.zeros((total, reg.width), dtype=np.int16)
+    codes = np.arange(total, dtype=np.int64)
+    for v in reversed(g.odd_vertices):
+        keys[:, reg.axis(v)] = codes % n
+        codes //= n
+    return keys
+
+
 def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
     """Entangle |identity-superposition> odd sites into |e> even sites along
     the schedule.  The result has exactly |G|^(#odd) equal-magnitude keys."""
     reg = Register(G, g.vertex_ids)
-    odd_axes = [reg.axis(v) for v in g.odd_vertices]
-    n = G.order
-    total = check_keys(G, len(odd_axes))
-    keys = np.zeros((total, reg.width), dtype=np.int16)
-    codes = np.arange(total, dtype=np.int64)
-    for ax in reversed(odd_axes):
-        keys[:, ax] = codes % n
-        codes //= n
+    keys = odd_assignments(g, reg)
     table = G.table
     inverse = G.inverse
     for gate in schedule(g):
@@ -105,7 +109,8 @@ def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
             keys[:, ct] = table[keys[:, cc], keys[:, ct]]
         else:
             keys[:, ct] = table[keys[:, ct], inverse[keys[:, cc]]]
-    amps = np.full(total, n ** (-len(odd_axes) / 2), dtype=complex)
+    amps = np.full(len(keys), G.order ** (-len(g.odd_vertices) / 2),
+                   dtype=complex)
     return SparseState(reg, keys, amps)
 
 

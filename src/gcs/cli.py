@@ -3,8 +3,8 @@
 Every subcommand assembles a run report — command, input hashes, effective
 tolerances, per-check residuals, pass/fail — and exits 0 only when every
 check passed.  Exit 2 flags bad input (unknown group, malformed graph file,
-a state past the builder's key budget) before any check runs; exit 1 flags
-a check failure.
+a state past the builder's key budget, a register too wide for 62-bit key
+codes) before any check runs; exit 1 flags a check failure.
 Reports are deterministic for fixed inputs and seed up to the wall-time
 field, which consumers strip before diffing.
 """
@@ -43,6 +43,7 @@ from .qdouble import (
     sector_matched_fidelity,
 )
 from .stabilizers import STABILIZER_TOL, verify
+from .states import check_width
 from .symmetry import verify_symmetry_algebra
 
 __all__ = ["main", "run"]
@@ -255,6 +256,7 @@ def _cmd_symmetry(args) -> dict:
     else:
         if args.ring < 4 or args.ring % 2:
             raise InputError("--ring needs an even length of at least 4")
+        check_width(G, args.ring)  # before the ring is allocated
         g = ring_graph(args.ring)
         fhash = {"spec": f"ring{args.ring}",
                  "sha256": _canonical_hash(graph_to_json(g))}

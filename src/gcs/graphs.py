@@ -164,9 +164,6 @@ def build_graph(name, vertices, edges, orderings=None) -> ClusterGraph:
     return g
 
 
-_build = build_graph
-
-
 def line_graph(n: int, pattern: str, directions: Sequence[str] | None = None) -> ClusterGraph:
     """Path of ``n`` vertices "0".."n-1" with alternating parity.
 
@@ -203,7 +200,7 @@ def line_graph(n: int, pattern: str, directions: Sequence[str] | None = None) ->
         a, b = str(i), str(i + 1)
         tail, head = (a, b) if d == "fwd" else (b, a)
         edges.append(Edge(f"e{i}", tail, head))
-    return _build(f"line{n}:{''.join(pars)}", vertices, edges)
+    return build_graph(f"line{n}:{''.join(pars)}", vertices, edges)
 
 
 def ring_graph(n: int, directions: Sequence[str] | None = None) -> ClusterGraph:
@@ -228,7 +225,7 @@ def ring_graph(n: int, directions: Sequence[str] | None = None) -> ClusterGraph:
         a, b = str(j), str((j + 1) % n)
         tail, head = (a, b) if d == "fwd" else (b, a)
         edges.append(Edge(f"e{j}", tail, head))
-    return _build(f"ring{n}", vertices, edges)
+    return build_graph(f"ring{n}", vertices, edges)
 
 
 def scramble_ordering(g: ClusterGraph, vertex: str, rotation: int = 1) -> ClusterGraph:
@@ -252,7 +249,25 @@ def graph_to_json(g: ClusterGraph) -> dict:
     }
 
 
+def _check_shape(obj) -> None:
+    """Raise ValueError unless ``obj`` has a graph file's JSON shape: an
+    object whose "vertices" and "edges" are lists of objects and whose
+    optional "orderings" maps vertex ids to lists."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a graph file holds a JSON object, not {obj!r:.40}")
+    for key in ("vertices", "edges"):
+        items = obj.get(key)
+        if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+            raise ValueError(f"graph {key!r} must be a list of objects, "
+                             f"not {items!r:.40}")
+    orderings = obj.get("orderings", {})
+    if not (isinstance(orderings, dict)
+            and all(isinstance(o, list) for o in orderings.values())):
+        raise ValueError("graph 'orderings' must map vertex ids to lists")
+
+
 def graph_from_json(obj: dict, validate: bool = True) -> ClusterGraph:
+    _check_shape(obj)
     vertices = tuple((str(v["id"]), str(v["parity"])) for v in obj["vertices"])
     edges = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in obj["edges"])
     if "orderings" in obj:

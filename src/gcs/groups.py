@@ -489,7 +489,39 @@ def group_to_json(G: FiniteGroup) -> dict:
     }
 
 
+def _check_shape(obj) -> None:
+    """Raise ValueError unless ``obj`` has a group file's JSON shape: an
+    object with a number "order", number lists "mul" and "inv", a list of
+    "labels" and an optional list of "irreps", each an object with a number
+    "dim" and "matrices" holding one list of [re, im] pairs per element."""
+    scalar = (int, float, str)  # what int() reads: numbers and numerals
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"group file: {what}")
+
+    def listed(xs, kinds) -> bool:
+        return isinstance(xs, list) and all(isinstance(x, kinds) for x in xs)
+
+    need(isinstance(obj, dict), f"expected a JSON object, not {obj!r:.40}")
+    need(isinstance(obj.get("order"), scalar), "'order' must be a number")
+    need(listed(obj.get("mul"), scalar) and listed(obj.get("inv"), scalar),
+         "'mul' and 'inv' must be lists of numbers")
+    need(isinstance(obj.get("labels"), list), "'labels' must be a list")
+    irreps = obj.get("irreps", [])
+    need(listed(irreps, dict), "'irreps' must be a list of objects")
+    for r in irreps:
+        need(isinstance(r.get("dim"), scalar), "irrep 'dim' must be a number")
+        mats = r.get("matrices")
+        need(listed(mats, list) and all(
+            listed(row, list)
+            and all(listed(z, (int, float)) and len(z) == 2 for z in row)
+            for row in mats),
+            "irrep 'matrices' must hold one list of [re, im] pairs per element")
+
+
 def group_from_json(obj: dict, validate: bool = True, tol: float = ALGEBRA_TOL) -> FiniteGroup:
+    _check_shape(obj)
     n = int(obj["order"])
     table = np.array(obj["mul"], dtype=int).reshape(n, n)
     inverse = np.array(obj["inv"], dtype=int)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import build_cluster_state, check_keys
+from .builder import build_cluster_state, odd_assignments
 from .graphs import ClusterGraph
 from .groups import FiniteGroup
 from .states import Register, SparseState, fidelity
@@ -105,26 +105,21 @@ def contract(net: PepsNetwork) -> SparseState:
     A copy tensor forces each leg of an odd site to that site's digit, so
     only the n^#odd assignments of one element per odd site survive the
     sum over bonds: each is enumerated once, and every bond takes the digit
-    of its odd endpoint.  That is the circuit state's key count, so the
-    builder's state budget (``check_keys``) bounds it.  Returns the
+    of its odd endpoint.  That is the circuit state's key count, and the
+    builder's ``odd_assignments`` enumerates these rows under its state
+    budget; the even digits come from the word tensors alone.  Returns the
     unnormalized physical state (every surviving assignment contributes
     amplitude 1)."""
     g, G = net.graph, net.group
-    n = G.order
     reg = Register(G, g.vertex_ids)
-    odd = g.odd_vertices
-    rows = check_keys(G, len(odd))
-    keys = np.zeros((rows, reg.width), dtype=np.int16)
-    idx = np.arange(rows)
-    for w in reversed(odd):
-        idx, keys[:, reg.axis(w)] = np.divmod(idx, n)
+    keys = odd_assignments(g, reg)
     for v in g.even_vertices:
         cols = []
         for eid in net.legs[v]:
             e = g.edge(eid)
             cols.append(keys[:, reg.axis(e.head if e.tail == v else e.tail)])
         keys[:, reg.axis(v)] = _word_values(G, net.senses[v], cols)
-    return SparseState(reg, keys, np.ones(rows, dtype=complex))
+    return SparseState(reg, keys, np.ones(len(keys), dtype=complex))
 
 
 def compare_to_circuit(g: ClusterGraph, G: FiniteGroup) -> float:

@@ -688,9 +688,6 @@ def verify(stabs: StabilizerSet, state: SparseState,
     ref = state.packed_codes()
     residuals = {}
     for label, op in stabs:
-        if ref is None:  # too wide to pack
-            residuals[label] = residual_norm(op.apply(state), state) / norm
-            continue
         keys, amps, _ = op.act_rows(reg, state.keys, state.amps)
         codes, amps = merge_codes(pack_codes(keys, reg.group.order), amps)
         sq = code_residuals(codes, amps, ref, state.amps)[1]
@@ -717,32 +714,38 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
     return worst
 
 
+def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
+                       register: Register, psis: list) -> np.ndarray:
+    """||a psi - b psi||^2 for each psi in ``psis``.  The states are stacked
+    into one block of rows with a trailing batch column that no operator
+    touches, so each operator acts once; the per-state sums come from
+    canonicalizing the codes batch * |G|^width + packed key."""
+    w, order, dim = register.width, register.group.order, register.dimension
+    keys = np.empty((sum(len(p) for p in psis), w + 1), dtype=np.int32)
+    keys[:, :w] = np.concatenate([p.keys for p in psis])
+    keys[:, w] = np.repeat(np.arange(len(psis)), [len(p) for p in psis])
+    amps = np.concatenate([p.amps for p in psis])
+
+    def rows(op):
+        k, am, _ = op.act_rows(register, keys, amps, states=len(psis))
+        codes = k[:, w].astype(np.int64) * dim + pack_codes(k[:, :w], order)
+        return merge_codes(codes, am)
+
+    codes, sq = code_residuals(*rows(a), *rows(b))
+    return np.bincount(codes // dim, weights=sq, minlength=len(psis))
+
+
 def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonomial,
                                      register: Register, rng: np.random.Generator,
                                      states: int = 50, keys_per_state: int = 200) -> float:
     """Max over ``states`` seeded random states psi of ||a psi - b psi||.
 
-    The states are stacked into one block of rows with a trailing batch
-    column that no operator touches, so each operator acts once; the
-    per-state residuals come from canonicalizing the codes
-    batch * |G|^width + packed key.  Registers too wide for that packing
-    take the states one at a time."""
+    The states are compared in blocks (``_stacked_residuals``), each
+    holding as many states as keep the batched codes below 2**62."""
     psis = random_states(register, rng, states, keys_per_state)
-    dim = register.dimension
-    if not psis or states * dim >= 2**62:
-        return max((residual_norm(a.apply(p), b.apply(p)) for p in psis),
-                   default=0.0)
-    w, order = register.width, register.group.order
-    keys = np.empty((sum(len(p) for p in psis), w + 1), dtype=np.int32)
-    keys[:, :w] = np.concatenate([p.keys for p in psis])
-    keys[:, w] = np.repeat(np.arange(states), [len(p) for p in psis])
-    amps = np.concatenate([p.amps for p in psis])
-
-    def rows(op):
-        k, am, _ = op.act_rows(register, keys, amps, states=states)
-        codes = k[:, w].astype(np.int64) * dim + pack_codes(k[:, :w], order)
-        return merge_codes(codes, am)
-
-    codes, sq = code_residuals(*rows(a), *rows(b))
-    per_state = np.bincount(codes // dim, weights=sq, minlength=states)
-    return float(np.sqrt(per_state.max()))
+    per_block = (2**62 - 1) // register.dimension
+    worst = 0.0
+    for lo in range(0, len(psis), per_block):
+        sq = _stacked_residuals(a, b, register, psis[lo:lo + per_block])
+        worst = max(worst, float(np.sqrt(sq.max())))
+    return worst

@@ -3,16 +3,19 @@
 A register is an ordered list of named sites sharing one finite group; a
 state is a sparse map from basis keys (one element index per site) to
 complex amplitudes, stored as an integer key matrix plus an amplitude
-vector so that gates vectorize.  States are values: every operation
-returns a new state and never mutates its input.  Stored states are kept
-canonical — keys unique and lexicographically sorted, amplitudes pruned
-below 1e-14.
+vector so that operators vectorize.  Every key row also reads as one int64
+code, its digits base |G| (first site most significant), so sorting,
+merging and matching rows sort and compare 1-D codes; a register whose
+codes would not fit 62 bits is refused (``OverBudget``).  States are
+values: every operation returns a new state and never mutates its input.
+Stored states are kept canonical — keys unique and sorted, amplitudes
+pruned below 1e-14.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,18 +25,13 @@ __all__ = [
     "PRUNE_TOL",
     "DENSE_CAP",
     "RDM_CAP",
+    "OverBudget",
+    "check_width",
     "Register",
     "SparseState",
-    "LocalOp",
     "group_basis_state",
     "trivial_irrep_state",
     "rep_basis_state",
-    "apply_local",
-    "apply_xl",
-    "apply_xr",
-    "apply_t",
-    "apply_zrep",
-    "apply_cmult",
     "inner_product",
     "residual_norm",
     "pack_codes",
@@ -50,14 +48,33 @@ __all__ = [
     "site_marginal",
     "random_state",
     "random_states",
-    "dump_state",
-    "load_state",
 ]
 
 PRUNE_TOL = 1e-14
 DENSE_CAP = 2**20
 RDM_CAP = 4096
 _PACK_BLOCK = 1 << 13
+
+
+class OverBudget(ValueError):
+    """A request past a size budget: a state with more keys than the
+    builder's ``MAX_KEYS``, or a register whose codes exceed 62 bits."""
+
+
+def _fits_codes(width: int, order: int) -> bool:
+    """Whether ``width`` digits base ``order`` pack into one int64 code."""
+    return width * np.log2(order) < 62
+
+
+def check_width(G: FiniteGroup, width: int) -> None:
+    """Raise ``OverBudget`` unless ``width`` sites of ``G`` pack into one
+    int64 code (width * log2|G| < 62)."""
+    if not _fits_codes(width, G.order):
+        raise OverBudget(
+            f"{width} sites of {G.name} need {width * np.log2(G.order):.1f} "
+            "bits per key, past the 62-bit code limit; reduce sites or "
+            "group order"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,7 @@ class Register:
     def __post_init__(self) -> None:
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("register sites must be unique")
+        check_width(self.group, len(self.sites))
 
     def axis(self, site) -> int:
         try:
@@ -108,10 +126,12 @@ def _sorted_boundary(codes: np.ndarray) -> np.ndarray:
 
 
 def _canonicalize(keys: np.ndarray, amps: np.ndarray, order: int):
-    """Sort rows lexicographically, merge duplicates, prune tiny amplitudes.
+    """Sort rows by their packed codes, merge duplicates, prune tiny
+    amplitudes.
 
     Returns (keys, amps, codes) where ``codes`` is the sorted packed-int64
-    row encoding when it was computed (None on the wide lexsort path)."""
+    row encoding (None for the empty and the zero-width cases, where
+    ``packed_codes`` computes it on demand)."""
     m, n = keys.shape
     if m == 0:
         return keys.reshape(0, n), amps.reshape(0), None
@@ -120,20 +140,11 @@ def _canonicalize(keys: np.ndarray, amps: np.ndarray, order: int):
         if abs(total) <= PRUNE_TOL:
             return keys.reshape(0, 0), amps[:0], None
         return np.zeros((1, 0), dtype=keys.dtype), np.array([total]), None
-    # pack into int64 codes when they fit; fall back to column lexsort
-    if _fits_codes(n, order):
-        codes = pack_codes(keys, order)
-        perm = np.argsort(codes, kind="stable")
-        codes = codes[perm]
-        rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
-        return np.ascontiguousarray(keys[perm[rows]]), merged, codes[rows]
-    perm = np.lexsort(keys.T[::-1])
-    sk = keys[perm]
-    boundary = np.empty(m, dtype=bool)
-    boundary[0] = True
-    np.any(sk[1:] != sk[:-1], axis=1, out=boundary[1:])
-    rows, merged = _merge_runs(boundary, amps[perm])
-    return np.ascontiguousarray(sk[rows]), merged, None
+    codes = pack_codes(keys, order)
+    perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
+    return np.ascontiguousarray(keys[perm[rows]]), merged, codes[rows]
 
 
 class SparseState:
@@ -193,14 +204,11 @@ class SparseState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
-    def packed_codes(self):
-        """Sorted packed-int64 row codes, cached; None when the register is
-        too wide for a 62-bit packing."""
+    def packed_codes(self) -> np.ndarray:
+        """Sorted packed-int64 row codes (see ``pack_codes``), cached."""
         if self._codes is None:
-            order = self.register.group.order
-            if not _fits_codes(self.register.width, order):
-                return None
-            object.__setattr__(self, "_codes", pack_codes(self.keys, order))
+            codes = pack_codes(self.keys, self.register.group.order)
+            object.__setattr__(self, "_codes", codes)
         return self._codes
 
     def normalized(self) -> "SparseState":
@@ -238,11 +246,6 @@ class SparseState:
 def _check_same_register(a: SparseState, b: SparseState) -> None:
     if a.register.sites != b.register.sites or a.register.group.name != b.register.group.name:
         raise ValueError("states live on different registers")
-
-
-def _fits_codes(width: int, order: int) -> bool:
-    """Whether ``width`` digits base ``order`` pack into one int64 code."""
-    return width * np.log2(order) < 62
 
 
 def pack_codes(keys: np.ndarray, order: int) -> np.ndarray:
@@ -346,16 +349,6 @@ def random_states(register: Register, rng: np.random.Generator, count: int,
     normalized."""
     n = register.group.order
     w = register.width
-    if not _fits_codes(w, n):  # too wide to pack: random subsets of random rows
-        out = []
-        for _ in range(count):
-            rows = np.unique(rng.integers(0, n, size=(2 * n_keys, w)).astype(np.int16),
-                             axis=0)
-            pick = rng.choice(len(rows), size=min(n_keys, len(rows)), replace=False)
-            keys = rows[np.sort(pick)]
-            amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-            out.append(SparseState(register, keys, amps, canonical=True).normalized())
-        return out
     size = min(n_keys, register.dimension)
     codes = np.empty((count, size), dtype=np.int64)
     for i in range(count):
@@ -380,85 +373,6 @@ def random_state(register: Register, rng: np.random.Generator,
     return random_states(register, rng, 1, n_keys)[0]
 
 
-# --- Local operators (one site) ---
-
-
-@dataclass(frozen=True)
-class LocalOp:
-    """kind in {"xl", "xr", "t", "zrep"}.
-
-    xl(g): |h> -> |gh>.  xr(g): |h> -> |h g^-1>.  t(g): projector on |g>.
-    zrep(irrep, i, j): diagonal phase/weight [irrep(h)]_{ij}.
-    """
-
-    kind: str
-    site: object
-    g: int = 0
-    irrep: Irrep | None = None
-    i: int = 0
-    j: int = 0
-
-
-def apply_xl(state: SparseState, site, g: int) -> SparseState:
-    G = state.register.group
-    c = state.register.axis(site)
-    keys = state.keys.copy()
-    keys[:, c] = G.table[g, keys[:, c]]
-    return SparseState(state.register, keys, state.amps.copy())
-
-
-def apply_xr(state: SparseState, site, g: int) -> SparseState:
-    G = state.register.group
-    c = state.register.axis(site)
-    keys = state.keys.copy()
-    keys[:, c] = G.table[keys[:, c], G.inverse[g]]
-    return SparseState(state.register, keys, state.amps.copy())
-
-
-def apply_t(state: SparseState, site, g: int) -> SparseState:
-    c = state.register.axis(site)
-    mask = state.keys[:, c] == g
-    return SparseState(state.register, state.keys[mask], state.amps[mask],
-                       canonical=True)
-
-
-def apply_zrep(state: SparseState, site, irrep: Irrep, i: int, j: int) -> SparseState:
-    c = state.register.axis(site)
-    weights = irrep.matrices[state.keys[:, c], i, j]
-    return SparseState(state.register, state.keys.copy(), state.amps * weights)
-
-
-def apply_local(state: SparseState, op: LocalOp) -> SparseState:
-    if op.kind == "xl":
-        return apply_xl(state, op.site, op.g)
-    if op.kind == "xr":
-        return apply_xr(state, op.site, op.g)
-    if op.kind == "t":
-        return apply_t(state, op.site, op.g)
-    if op.kind == "zrep":
-        assert op.irrep is not None
-        return apply_zrep(state, op.site, op.irrep, op.i, op.j)
-    raise ValueError(f"unknown local op kind {op.kind!r}")
-
-
-def apply_cmult(state: SparseState, control, target, sense: str) -> SparseState:
-    """Controlled multiplication.  sense "left": |g>|h> -> |g>|gh>;
-    sense "right": |g>|h> -> |g>|h g^-1>.  Control site is unchanged."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    G = state.register.group
-    cc = state.register.axis(control)
-    ct = state.register.axis(target)
-    keys = state.keys.copy()
-    if sense == "left":
-        keys[:, ct] = G.table[keys[:, cc], keys[:, ct]]
-    elif sense == "right":
-        keys[:, ct] = G.table[keys[:, ct], G.inverse[keys[:, cc]]]
-    else:
-        raise ValueError(f"unknown sense {sense!r}")
-    return SparseState(state.register, keys, state.amps.copy())
-
-
 # --- Inner products and projections ---
 
 
@@ -468,13 +382,9 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     if len(a) == 0 or len(b) == 0:
         return 0.0
     ca, cb = a.packed_codes(), b.packed_codes()
-    if ca is not None:
-        ia = np.searchsorted(ca, cb)
-        ia = np.clip(ia, 0, len(ca) - 1)
-        hit = ca[ia] == cb
-        return complex(np.sum(np.conj(a.amps[ia[hit]]) * b.amps[hit]))
-    da = a.to_dict()
-    return complex(sum(np.conj(da.get(k, 0.0)) * v for k, v in b.items()))
+    ia = np.clip(np.searchsorted(ca, cb), 0, len(ca) - 1)
+    hit = ca[ia] == cb
+    return complex(np.sum(np.conj(a.amps[ia[hit]]) * b.amps[hit]))
 
 
 def residual_norm(a: SparseState, b: SparseState) -> float:
@@ -488,10 +398,8 @@ def residual_norm(a: SparseState, b: SparseState) -> float:
         return b.norm()
     if len(b) == 0:
         return a.norm()
-    ca, cb = a.packed_codes(), b.packed_codes()
-    if ca is None:
-        return a.add(b.scaled(-1.0)).norm()
-    return float(np.sqrt(np.sum(code_residuals(ca, a.amps, cb, b.amps)[1])))
+    sq = code_residuals(a.packed_codes(), a.amps, b.packed_codes(), b.amps)[1]
+    return float(np.sqrt(np.sum(sq)))
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:
@@ -626,34 +534,3 @@ def site_marginal(state: SparseState, site) -> np.ndarray:
     w = np.abs(state.amps) ** 2
     return np.bincount(state.keys[:, c], weights=w,
                        minlength=state.register.group.order) / n2
-
-
-# --- Dump format ---
-
-
-def dump_state(state: SparseState) -> dict:
-    """JSON-shaped dump: amplitudes as (element-label tuple, re, im), sorted
-    lexicographically by the label tuple.  Floats serialize with Python's
-    shortest round-trip repr (<= 17 significant digits, exact round trip)."""
-    G = state.register.group
-    rows = [
-        ([G.labels[x] for x in key], float(a.real), float(a.imag))
-        for key, a in state.items()
-    ]
-    rows.sort(key=lambda r: r[0])
-    return {
-        "group": G.name,
-        "sites": [str(s) for s in state.register.sites],
-        "amplitudes": [[labels, re, im] for labels, re, im in rows],
-    }
-
-
-def load_state(obj: dict, G: FiniteGroup) -> SparseState:
-    if obj["group"] != G.name:
-        raise ValueError(f"dump is for group {obj['group']}, not {G.name}")
-    reg = Register(G, tuple(obj["sites"]))
-    entries = {}
-    for labels, re, im in obj["amplitudes"]:
-        key = tuple(G.element(lab) for lab in labels)
-        entries[key] = complex(re, im)
-    return SparseState.from_dict(reg, entries)

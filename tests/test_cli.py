@@ -10,7 +10,7 @@ import pytest
 
 from gcs import cli
 from gcs.cli import run
-from gcs.graphs import graph_to_json, line_graph, ring_graph
+from gcs.graphs import Edge, build_graph, graph_to_json, line_graph, ring_graph
 from gcs.corpus import general_small_graph
 from gcs.groups import builtin_group, group_to_json
 
@@ -24,6 +24,12 @@ def _write_graph(tmp_path, g, name=None):
 def _read_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 # --- group ---
@@ -84,9 +90,47 @@ def test_build_line3_order2_gives_ghz(tmp_path, capsys):
         assert re == pytest.approx(2 ** -0.5) and im == 0.0
 
 
+def test_register_past_the_width_limit_is_input_error(tmp_path, capsys):
+    # two keys (one odd site), but 62 Z2 sites need 62-bit codes
+    vertices = [("o", "odd")] + [(f"v{i}", "even") for i in range(61)]
+    edges = [Edge(f"e{i}", f"v{i}", "o") for i in range(61)]
+    path = _write_graph(tmp_path, build_graph("star62", vertices, edges))
+    assert run(["build", "--group", "Z2", "--graph", path]) == 2
+    _one_error_line(capsys)
+
+
 def test_build_missing_graph_file_is_input_error(tmp_path):
     assert run(["build", "--group", "Z2",
                 "--graph", str(tmp_path / "missing.json")]) == 2
+
+
+def _graph_shapes():
+    good = graph_to_json(line_graph(3, "e"))
+    return [{**good, "vertices": None}, {**good, "edges": [1, 2]}, [1, 2]]
+
+
+def _group_shapes():
+    good = group_to_json(builtin_group("Z2"))
+    bad_irrep = {**good["irreps"][0], "matrices": 5}
+    return [{**good, "labels": None}, {**good, "irreps": [bad_irrep]}]
+
+
+@pytest.mark.parametrize("obj", _graph_shapes(),
+                         ids=["null-vertices", "int-edges", "top-level-list"])
+def test_wrongly_shaped_graph_file_is_input_error(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["build", "--group", "Z2", "--graph", str(path)]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("obj", _group_shapes(),
+                         ids=["null-labels", "int-matrices"])
+def test_wrongly_shaped_group_file_is_input_error(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["group", "validate", "--name", str(path)]) == 2
+    _one_error_line(capsys)
 
 
 # --- stabilizers ---
@@ -156,6 +200,24 @@ def test_symmetry_needs_a_state(capsys, states):
 
 def test_symmetry_rejects_odd_ring():
     assert run(["symmetry", "--group", "Z2", "--ring", "5"]) == 2
+
+
+def test_symmetry_ring_at_the_width_limit_runs():
+    # 60 Z2 sites pack into 60-bit codes
+    assert run(["symmetry", "--group", "Z2", "--ring", "60",
+                "--states", "1"]) == 0
+
+
+@pytest.mark.parametrize("group,ring", [("Z2", "62"), ("S3", "24"),
+                                        ("Z2", "1000000000")])
+def test_symmetry_ring_past_the_width_limit_is_input_error(
+        capsys, monkeypatch, group, ring):
+    def no_ring(n):
+        raise AssertionError("the ring was allocated")
+
+    monkeypatch.setattr(cli, "ring_graph", no_ring)
+    assert run(["symmetry", "--group", group, "--ring", ring]) == 2
+    _one_error_line(capsys)
 
 
 def test_symmetry_needs_exactly_one_source(tmp_path):

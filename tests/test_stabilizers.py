@@ -380,16 +380,29 @@ def _summed_shift(G):
     return mono(G, ("x",), {"o0": [Factor("XL", Word.var("x"))]})
 
 
-@pytest.mark.parametrize("pair", [
-    lambda G, g: (closed_form_odd(g, G, "o0", 1), closed_form_odd(g, G, "o0", 2)),
-    lambda G, g: (closed_form_even(g, G, "e1"), closed_form_odd(g, G, "o1", 3)),
-    lambda G, g: (_summed_shift(G), closed_form_odd(g, G, "o0", 1)),
+def _on_general_small(pair):
+    G, g = builtin_group("S3"), general_small()
+    return (Register(G, g.vertex_ids), *pair(G, g))
+
+
+def _z2_line61():
+    # 2**61 basis keys: each block of the batched check holds one state
+    G, g = builtin_group("Z2"), line_graph(61, "o")
+    return (Register(G, g.vertex_ids), closed_form_even(g, G, "1"),
+            closed_form_odd(g, G, "2", 1))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _on_general_small(lambda G, g: (closed_form_odd(g, G, "o0", 1),
+                                            closed_form_odd(g, G, "o0", 2))),
+    lambda: _on_general_small(lambda G, g: (closed_form_even(g, G, "e1"),
+                                            closed_form_odd(g, G, "o1", 3))),
+    lambda: _on_general_small(lambda G, g: (_summed_shift(G),
+                                            closed_form_odd(g, G, "o0", 1))),
+    _z2_line61,
 ])
-def test_batched_route_check_matches_per_state_loop(pair):
-    G = builtin_group("S3")
-    g = general_small()
-    reg = Register(G, g.vertex_ids)
-    a, b = pair(G, g)
+def test_batched_route_check_matches_per_state_loop(case):
+    reg, a, b = case()
     loop, _ = _route_loop(a, b, reg, 5, 5, 64)
     batched = operators_agree_on_random_states(
         a, b, reg, np.random.default_rng(5), states=5, keys_per_state=64)

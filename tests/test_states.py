@@ -1,25 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
+from gcs.builder import build_cluster_state
+from gcs.cli import run
+from gcs.graphs import graph_to_json, line_graph, scramble_ordering
 from gcs.groups import builtin_group, catalog_names
+from gcs.stabilizers import ConditionalMonomial, Factor, Word
 from gcs.states import (
     DENSE_CAP,
-    LocalOp,
+    OverBudget,
     Register,
     SparseState,
-    apply_cmult,
-    apply_local,
-    apply_t,
-    apply_xl,
-    apply_xr,
-    apply_zrep,
     basis_matrix_to_rep,
     change_basis,
-    dump_state,
     fidelity,
     group_basis_state,
     inner_product,
-    load_state,
     pack_codes,
     project_site,
     random_state,
@@ -27,6 +25,7 @@ from gcs.states import (
     reduced_density_matrix,
     rep_basis_order,
     rep_basis_state,
+    residual_norm,
     schmidt_data,
     site_marginal,
     tensor,
@@ -39,6 +38,48 @@ TOL = 1e-12
 
 def reg(name, *sites):
     return Register(builtin_group(name), tuple(sites))
+
+
+def act(state, site, *factors, scalar=1.0):
+    """Apply the factors at one site (index 0 first) as a monomial."""
+    op = ConditionalMonomial(state.register.group, (), {site: factors}, scalar)
+    return op.apply(state)
+
+
+def xl(g):
+    return Factor("XL", Word.const(g))
+
+
+def xr(g):
+    return Factor("XR", Word.const(g))
+
+
+def t(g):
+    return Factor("T", Word.const(g))
+
+
+def z(irrep, i, j):
+    return Factor("Z", irrep_label=irrep.label, i=i, j=j)
+
+
+def gate(G, sense, control, target):
+    """The target digit after one controlled multiplication."""
+    if sense == "left":
+        return G.multiply(control, target)
+    return G.multiply(target, G.inv(control))
+
+
+def two_gate_line(G, directions):
+    """o-e-o line: gates from "0" then "2" hit the even site "1".  Returns
+    the state and each gate's sense (an even->odd edge multiplies on the
+    left, an odd->even edge on the right)."""
+    g = line_graph(3, "oeo", directions=directions)
+    senses = ["left" if g.edge(eid).tail == "1" else "right"
+              for eid in g.orderings["1"]]
+    return g, build_cluster_state(g, G), senses
+
+
+DIRECTIONS = [[d0, d1] for d0 in ("fwd", "bwd") for d1 in ("fwd", "bwd")]
 
 
 def test_basis_state_and_norm():
@@ -73,19 +114,20 @@ def test_rep_basis_state_s3_entry_normalized():
 
 
 def test_local_op_semantics():
+    # single-factor monomials: Xl(g)|h> = |gh>, Xr(g)|h> = |h g^-1>, T(g)
+    # projects on |g>
     r = reg("S3", "x")
     G = r.group
     for g in range(6):
         for h in range(6):
             s = group_basis_state(r, (h,))
-            assert apply_xl(s, "x", g).to_dict() == {(G.multiply(g, h),): 1.0}
-            assert apply_xr(s, "x", g).to_dict() == {(G.multiply(h, G.inv(g)),): 1.0}
-            t = apply_t(s, "x", g)
-            assert t.to_dict() == ({(h,): 1.0} if g == h else {})
+            assert act(s, "x", xl(g)).to_dict() == {(G.multiply(g, h),): 1.0}
+            assert act(s, "x", xr(g)).to_dict() == {(G.multiply(h, G.inv(g)),): 1.0}
+            assert act(s, "x", t(g)).to_dict() == ({(h,): 1.0} if g == h else {})
     # xl(e) is the identity
     rng = np.random.default_rng(1)
     s = random_state(r, rng, 6)
-    assert fidelity(apply_xl(s, "x", 0), s) == pytest.approx(1.0)
+    assert fidelity(act(s, "x", xl(0)), s) == pytest.approx(1.0)
 
 
 def test_left_and_right_multiplication_commute():
@@ -97,8 +139,8 @@ def test_left_and_right_multiplication_commute():
             for h in range(n):
                 for k in range(n):
                     s = group_basis_state(r, (k,))
-                    a = apply_xr(apply_xl(s, "x", g), "x", h)
-                    b = apply_xl(apply_xr(s, "x", h), "x", g)
+                    a = act(s, "x", xl(g), xr(h))
+                    b = act(s, "x", xr(h), xl(g))
                     assert a.to_dict() == b.to_dict()
 
 
@@ -107,8 +149,8 @@ def test_zrep_diagonal_weights():
     G = r.group
     std = G.irrep("std")
     s = trivial_irrep_state(r)
-    z = apply_zrep(s, "x", std, 0, 0)
-    for (k,), a in z.items():
+    out = act(s, "x", z(std, 0, 0))
+    for (k,), a in out.items():
         assert a == pytest.approx(std.matrices[k, 0, 0] / np.sqrt(6))
 
 
@@ -120,53 +162,52 @@ def test_t_reconstruction_from_zreps():
         rng = np.random.default_rng(7)
         s = random_state(r, rng, G.order)
         for g in range(G.order):
-            want = apply_t(s, "x", g)
+            want = act(s, "x", t(g))
             acc = SparseState.zero(r)
             for irr in G.irreps:
                 for i in range(irr.dim):
                     for j in range(irr.dim):
-                        term = apply_zrep(s, "x", irr, i, j).scaled(
-                            irr.dim * np.conj(irr.matrices[g, i, j]) / G.order
-                        )
-                        acc = acc.add(term)
+                        coeff = irr.dim * np.conj(irr.matrices[g, i, j]) / G.order
+                        acc = acc.add(act(s, "x", z(irr, i, j), scalar=coeff))
             diff = acc.add(want.scaled(-1.0))
             assert diff.norm() < TOL
 
 
+# The builder's gate loop is the one controlled multiplication: each case
+# below reads the gates' action off the rows of a built state.
+
+
 def test_cmult_is_cnot_for_z2():
-    r = reg("Z2", "c", "t")
-    s = group_basis_state(r, (1, 1))
-    assert apply_cmult(s, "c", "t", "left").to_dict() == {(1, 0): 1.0}
-    s = group_basis_state(r, (0, 1))
-    assert apply_cmult(s, "c", "t", "left").to_dict() == {(0, 1): 1.0}
+    # two left gates into the even site: |a>|0>|b> -> |a>|a+b>|b>
+    G = builtin_group("Z2")
+    _, s, senses = two_gate_line(G, ["bwd", "fwd"])
+    assert senses == ["left", "left"]
+    assert s.to_dict() == pytest.approx(
+        {(a, a ^ b, b): 0.5 for a in range(2) for b in range(2)})
+    assert s.amplitude((1, 0, 1)) == pytest.approx(0.5)  # |1>|1> -> |1>|0>
 
 
 def test_cmult_semantics_and_commutation():
-    r = reg("S3", "c", "t")
-    G = r.group
-    for g in range(6):
-        for h in range(6):
-            s = group_basis_state(r, (g, h))
-            left = apply_cmult(s, "c", "t", "left")
-            assert left.to_dict() == {(g, G.multiply(g, h)): 1.0}
-            right = apply_cmult(s, "c", "t", "right")
-            assert right.to_dict() == {(g, G.multiply(h, G.inv(g))): 1.0}
-    rng = np.random.default_rng(3)
-    s = random_state(r, rng, 30)
-    a = apply_cmult(apply_cmult(s, "c", "t", "left"), "c", "t", "right")
-    b = apply_cmult(apply_cmult(s, "c", "t", "right"), "c", "t", "left")
-    assert fidelity(a, b) == pytest.approx(1.0, abs=TOL)
-    assert (a.add(b.scaled(-1))).norm() < TOL
-    with pytest.raises(ValueError):
-        apply_cmult(s, "c", "c", "left")
+    # left: |g>|h> -> |g>|gh>; right: |g>|h> -> |g>|h g^-1>
+    G = builtin_group("S3")
+    for directions in DIRECTIONS:
+        g, s, (first, second) = two_gate_line(G, directions)
+        want = {(a, gate(G, second, b, gate(G, first, a, 0)), b): 1 / 6
+                for a in range(6) for b in range(6)}
+        assert s.to_dict() == pytest.approx(want)
+        if first != second:  # a left and a right gate commute
+            scrambled = build_cluster_state(scramble_ordering(g, "1"), G)
+            assert residual_norm(scrambled, s) < TOL
 
 
 def test_control_identity_acts_trivially():
-    r = reg("D4", "c", "t")
-    for h in range(8):
-        s = group_basis_state(r, (0, h))
-        assert apply_cmult(s, "c", "t", "left").to_dict() == {(0, h): 1.0}
-        assert apply_cmult(s, "c", "t", "right").to_dict() == {(0, h): 1.0}
+    # rows whose second control holds the identity keep the first gate's digit
+    G = builtin_group("D4")
+    for directions in DIRECTIONS:
+        _, s, (first, _) = two_gate_line(G, directions)
+        rows = [(a, v) for (a, v, b), _ in s.items() if b == 0]
+        assert len(rows) == 8
+        assert all(v == gate(G, first, a, 0) for a, v in rows)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -283,33 +324,42 @@ def test_tensor():
     )
 
 
-def test_dump_and_load_round_trip():
-    r = reg("S3", "u", "v")
-    rng = np.random.default_rng(5)
-    s = random_state(r, rng, 12)
-    obj = dump_state(s)
-    back = load_state(obj, r.group)
-    assert fidelity(s, back) == pytest.approx(1.0, abs=TOL)
-    # label tuples sorted lexicographically
-    labs = [tuple(row[0]) for row in obj["amplitudes"]]
-    assert labs == sorted(labs)
+def _build_dump(tmp_path, capsys, group, g):
+    """The amplitude dump of ``gcs build --json``: the state's labelled rows."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    assert run(["build", "--group", group, "--graph", str(path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
-def test_dump_uses_labels():
-    r = reg("S3", "u")
-    s = group_basis_state(r, (3,))
-    obj = dump_state(s)
-    assert obj["amplitudes"][0][0] == ["(12)"]
+def test_dump_and_load_round_trip(tmp_path, capsys):
+    G = builtin_group("S3")
+    g = line_graph(3, "o")
+    rep = _build_dump(tmp_path, capsys, "S3", g)
+    keys = [tuple(G.element(lab) for lab in labels)
+            for labels, _, _ in rep["amplitudes"]]
+    back = SparseState.from_dict(Register(G, tuple(rep["sites"])), {
+        key: complex(re, im)
+        for key, (_, re, im) in zip(keys, rep["amplitudes"])})
+    assert residual_norm(back, build_cluster_state(g, G)) == 0.0
+    # rows come in key order, one per key
+    assert keys == sorted(set(keys))
+
+
+def test_dump_uses_labels(tmp_path, capsys):
+    rep = _build_dump(tmp_path, capsys, "S3", line_graph(3, "o"))
+    assert ["(12)", "e", "(12)"] in [labels for labels, _, _ in rep["amplitudes"]]
 
 
 def test_apply_local_dispatch():
+    # a factor acts by its kind; an unknown kind is an error
     r = reg("Z4", "x")
-    s = trivial_irrep_state(r)
-    a = apply_local(s, LocalOp("xl", "x", g=2))
-    b = apply_xl(s, "x", 2)
-    assert a.to_dict() == b.to_dict()
+    s = group_basis_state(r, (1,))
+    assert act(s, "x", xl(2)).to_dict() == {(3,): 1.0}
+    assert act(s, "x", xr(3)).to_dict() == {(2,): 1.0}
+    assert act(s, "x", t(1)).to_dict() == {(1,): 1.0}
     with pytest.raises(ValueError):
-        apply_local(s, LocalOp("nope", "x"))
+        act(s, "x", Factor("nope"))
 
 
 def test_random_state_deterministic():
@@ -319,7 +369,7 @@ def test_random_state_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-@pytest.mark.parametrize("width", [8, 30])  # packed codes; too wide to pack
+@pytest.mark.parametrize("width", [8, 23])  # 23: the widest S3 register
 def test_random_state_is_an_unbiased_canonical_subset(width):
     r = Register(builtin_group("S3"), tuple(f"s{i}" for i in range(width)))
     for seed in range(20):
@@ -330,8 +380,16 @@ def test_random_state_is_an_unbiased_canonical_subset(width):
         assert abs(s.norm() - 1.0) < TOL
         canon = SparseState(r, s.keys, s.amps)
         assert np.array_equal(canon.keys, s.keys)
-        if s.packed_codes() is not None:
-            assert np.array_equal(canon.packed_codes(), s.packed_codes())
+        assert np.array_equal(canon.packed_codes(), s.packed_codes())
+
+
+def test_register_width_limit():
+    # keys pack into int64 codes below 2**62: width * log2|G| < 62
+    for name, widest in (("Z2", 61), ("S3", 23), ("Z8", 20)):
+        G = builtin_group(name)
+        assert Register(G, tuple(range(widest))).width == widest
+        with pytest.raises(OverBudget, match="62-bit"):
+            Register(G, tuple(range(widest + 1)))
 
 
 def test_random_states_draws_distinct_canonical_states():
@@ -364,8 +422,12 @@ def test_states_are_value_like():
     r = reg("Z2", "a", "b")
     s = group_basis_state(r, (0, 1))
     before = s.to_dict()
-    apply_xl(s, "a", 1)
-    apply_cmult(s, "a", "b", "left")
+    act(s, "a", xl(1))
+    # sum[x] T(x) at a, Xl(x) at b: a controlled multiplication
+    cmult = ConditionalMonomial(r.group, ("x",), {
+        "a": (Factor("T", Word.var("x")),), "b": (Factor("XL", Word.var("x")),)})
+    assert cmult.apply(group_basis_state(r, (1, 1))).to_dict() == {(1, 0): 1.0}
+    cmult.apply(s)
     project_site(s, "a", np.array([1, 0]))
     assert s.to_dict() == before
     with pytest.raises(AttributeError):
