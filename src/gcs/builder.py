@@ -83,35 +83,39 @@ def depth(sched: GateSchedule) -> int:
 
 
 def odd_assignments(g: ClusterGraph, reg: Register) -> np.ndarray:
-    """Key rows of every assignment of one element per odd site of ``g``,
+    """Codes of every assignment of one element per odd site of ``g``,
     even digits at the identity.  Row i holds i's base-|G| digits, the last
     odd vertex least significant; ``check_keys`` bounds the row count."""
     n = reg.group.order
     total = check_keys(reg.group, len(g.odd_vertices))
-    keys = np.zeros((total, reg.width), dtype=np.int16)
-    codes = np.arange(total, dtype=np.int64)
+    codes = np.zeros(total, dtype=np.int64)
+    rest = np.arange(total, dtype=np.int64)
     for v in reversed(g.odd_vertices):
-        keys[:, reg.axis(v)] = codes % n
-        codes //= n
-    return keys
+        codes += reg.place_value(v, rest % n)
+        rest //= n
+    return codes
 
 
 def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
     """Entangle |identity-superposition> odd sites into |e> even sites along
     the schedule.  The result has exactly |G|^(#odd) equal-magnitude keys."""
     reg = Register(G, g.vertex_ids)
-    keys = odd_assignments(g, reg)
+    codes = odd_assignments(g, reg)
     table = G.table
     inverse = G.inverse
+    even: dict = {}  # even site -> its digits so far (the identity at first)
     for gate in schedule(g):
-        cc, ct = reg.axis(gate.control), reg.axis(gate.target)
+        control = reg.digit(codes, gate.control)  # odd digits are never written
+        target = even.get(gate.target, 0)
         if gate.sense == "left":
-            keys[:, ct] = table[keys[:, cc], keys[:, ct]]
+            even[gate.target] = table[control, target]
         else:
-            keys[:, ct] = table[keys[:, ct], inverse[keys[:, cc]]]
-    amps = np.full(len(keys), G.order ** (-len(g.odd_vertices) / 2),
+            even[gate.target] = table[target, inverse[control]]
+    for v, digits in even.items():
+        codes += reg.place_value(v, digits)
+    amps = np.full(len(codes), G.order ** (-len(g.odd_vertices) / 2),
                    dtype=complex)
-    return SparseState(reg, keys, amps)
+    return SparseState(reg, codes, amps)
 
 
 def build_qubit_reference(g: ClusterGraph, G: FiniteGroup) -> SparseState:
@@ -139,8 +143,5 @@ def build_qubit_reference(g: ClusterGraph, G: FiniteGroup) -> SparseState:
         b = bit[v]
         shaped = vec.reshape(2 ** (nq - 1 - b), 2, 2**b)
         vec = np.einsum("ij,ajb->aib", h, shaped).reshape(dim)
-    keys = np.zeros((dim, nq), dtype=np.int16)
-    for i, s in enumerate(sites):
-        keys[:, i] = (idx >> bit[s]) & 1
-    reg = Register(G, sites)
-    return SparseState(reg, keys, vec)
+    # site i holds bit nq-1-i of the index, so the index is the code
+    return SparseState(Register(G, sites), idx, vec)

@@ -3,8 +3,9 @@
 Every subcommand assembles a run report — command, input hashes, effective
 tolerances, per-check residuals, pass/fail — and exits 0 only when every
 check passed.  Exit 2 flags bad input (unknown group, malformed graph file,
-a state past the builder's key budget, a register too wide for 62-bit key
-codes) before any check runs; exit 1 flags a check failure.
+a group file's order outside 1..256, a state past the builder's key
+budget, a register too wide for 62-bit key codes) before any check runs;
+exit 1 flags a check failure.
 Reports are deterministic for fixed inputs and seed up to the wall-time
 field, which consumers strip before diffing.
 """

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -43,34 +44,52 @@ class ClusterGraph:
     edges: tuple[Edge, ...]
     orderings: dict  # even vertex id -> tuple of edge ids (gate order at that vertex)
 
-    # --- Lookups ---
+    # --- Lookups (indexed once per graph; a duplicate id resolves to its
+    # first declaration, and validate_graph reports the duplicate) ---
+
+    @cached_property
+    def _parities(self) -> dict:
+        return dict(reversed(self.vertices))
+
+    @cached_property
+    def _edges_by_id(self) -> dict:
+        return {e.id: e for e in reversed(self.edges)}
+
+    @cached_property
+    def _incidence(self) -> dict:
+        """vertex -> its incident edges in declaration order."""
+        out: dict = {}
+        for e in self.edges:
+            for v in dict.fromkeys((e.tail, e.head)):  # a self-loop once
+                out.setdefault(v, []).append(e)
+        return {v: tuple(es) for v, es in out.items()}
 
     def parity(self, v: str) -> str:
-        for vid, p in self.vertices:
-            if vid == v:
-                return p
-        raise KeyError(f"unknown vertex {v!r}")
+        try:
+            return self._parities[v]
+        except KeyError:
+            raise KeyError(f"unknown vertex {v!r}")
 
-    @property
+    @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.vertices)
 
-    @property
+    @cached_property
     def even_vertices(self) -> tuple[str, ...]:
         return tuple(v for v, p in self.vertices if p == "even")
 
-    @property
+    @cached_property
     def odd_vertices(self) -> tuple[str, ...]:
         return tuple(v for v, p in self.vertices if p == "odd")
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(f"unknown edge {eid!r}")
+        try:
+            return self._edges_by_id[eid]
+        except KeyError:
+            raise KeyError(f"unknown edge {eid!r}")
 
     def incident_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if v in (e.tail, e.head))
+        return self._incidence.get(v, ())
 
     def neighbours(self, v: str) -> tuple[str, ...]:
         out = []
@@ -145,11 +164,12 @@ def validate_graph(g: ClusterGraph) -> GraphReport:
 
 
 def _declaration_orderings(vertices, edges) -> dict:
-    orderings = {}
-    for v, p in vertices:
-        if p == "even":
-            orderings[v] = tuple(e.id for e in edges if v in (e.tail, e.head))
-    return orderings
+    incident: dict = {v: [] for v, p in vertices if p == "even"}
+    for e in edges:
+        for v in dict.fromkeys((e.tail, e.head)):
+            if v in incident:
+                incident[v].append(e.id)
+    return {v: tuple(ids) for v, ids in incident.items()}
 
 
 def build_graph(name, vertices, edges, orderings=None) -> ClusterGraph:

@@ -36,9 +36,13 @@ __all__ = [
     "group_to_json",
     "group_from_json",
     "load_group_file",
+    "MAX_GROUP_ORDER",
 ]
 
 ALGEBRA_TOL = 1e-12
+# a group file's order bound: validation builds two order^3 tables, and
+# element indices are stored as int16
+MAX_GROUP_ORDER = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,15 +196,12 @@ def validate_irreps(G: FiniteGroup, irreps: Sequence[Irrep] | None = None) -> Va
     if bad:
         return ValidationReport(f"{G.name}:irreps", tuple(bad), res)
 
-    eye = {r.label: np.eye(r.dim) for r in rs}
+    # max(..., default=0.0): an empty irrep list fails on completeness alone
     res["unitarity"] = max(
-        float(
-            np.abs(
-                np.einsum("gji,gjk->gik", r.matrices.conj(), r.matrices)
-                - eye[r.label][None]
-            ).max()
-        )
-        for r in rs
+        (float(np.abs(np.einsum("gji,gjk->gik", r.matrices.conj(), r.matrices)
+                      - np.eye(r.dim)[None]).max())
+         for r in rs),
+        default=0.0,
     )
     hom = 0.0
     for r in rs:
@@ -209,10 +210,9 @@ def validate_irreps(G: FiniteGroup, irreps: Sequence[Irrep] | None = None) -> Va
     res["homomorphism"] = hom
     # character norm: sum_g |chi(g)|^2 == order for an irreducible rep
     res["irreducibility"] = max(
-        float(
-            abs(np.sum(np.abs(np.einsum("gii->g", r.matrices)) ** 2) - n)
-        )
-        for r in rs
+        (float(abs(np.sum(np.abs(np.einsum("gii->g", r.matrices)) ** 2) - n))
+         for r in rs),
+        default=0.0,
     )
     # grand orthogonality: sum_g [A(g)]_ij [B(g)]*_kl = (order/dim A) dAB dik djl
     ortho = 0.0
@@ -523,6 +523,12 @@ def _check_shape(obj) -> None:
 def group_from_json(obj: dict, validate: bool = True, tol: float = ALGEBRA_TOL) -> FiniteGroup:
     _check_shape(obj)
     n = int(obj["order"])
+    # bound the sizes before any array is built from them
+    if not 1 <= n <= MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} is outside 1..{MAX_GROUP_ORDER}")
+    if len(obj["mul"]) != n * n or len(obj["inv"]) != n:
+        raise ValueError(f"group of order {n} needs {n * n} 'mul' and {n} "
+                         "'inv' entries")
     table = np.array(obj["mul"], dtype=int).reshape(n, n)
     inverse = np.array(obj["inv"], dtype=int)
     irreps = []

@@ -63,15 +63,16 @@ def outcome_distribution(state: SparseState, site, basis: str = "group"):
     if n2 == 0:
         raise ValueError("zero-norm state has no outcome distribution")
     U = basis_matrix_to_rep(G)
-    c = state.register.axis(site)
-    rest = np.delete(state.keys, c, axis=1)
-    reduced = state.register.drop(site)
+    reg = state.register
+    digit = reg.digit(state.codes, site)
+    rest = reg.without(state.codes, site)
+    reduced = reg.drop(site)
     out = []
     for r, outcome in enumerate(rep_basis_order(G)):
         # branch amplitude <outcome|digit> per key; merging duplicate
-        # remainder keys before the norm accounts for interference
-        overlap = state.amps * U[r, state.keys[:, c]]
-        merged = SparseState(reduced, rest.copy(), overlap)
+        # remainder codes before the norm accounts for interference
+        overlap = state.amps * U[r, digit]
+        merged = SparseState(reduced, rest, overlap)
         out.append((outcome, float(merged.norm() ** 2 / n2)))
     return out
 

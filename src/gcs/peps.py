@@ -112,14 +112,14 @@ def contract(net: PepsNetwork) -> SparseState:
     amplitude 1)."""
     g, G = net.graph, net.group
     reg = Register(G, g.vertex_ids)
-    keys = odd_assignments(g, reg)
+    codes = odd_assignments(g, reg)
     for v in g.even_vertices:
         cols = []
         for eid in net.legs[v]:
             e = g.edge(eid)
-            cols.append(keys[:, reg.axis(e.head if e.tail == v else e.tail)])
-        keys[:, reg.axis(v)] = _word_values(G, net.senses[v], cols)
-    return SparseState(reg, keys, np.ones(len(keys), dtype=complex))
+            cols.append(reg.digit(codes, e.head if e.tail == v else e.tail))
+        codes += reg.place_value(v, _word_values(G, net.senses[v], cols))
+    return SparseState(reg, codes, np.ones(len(codes), dtype=complex))
 
 
 def compare_to_circuit(g: ClusterGraph, G: FiniteGroup) -> float:

@@ -33,7 +33,14 @@ from .builder import build_cluster_state
 from .graphs import ClusterGraph, Edge, build_graph
 from .groups import FiniteGroup, centralizer, conjugacy_classes
 from .stabilizers import ConditionalMonomial, Factor, StabilizerSet, Word
-from .states import Register, SparseState, fidelity, project_site, residual_norm
+from .states import (
+    Register,
+    SparseState,
+    fidelity,
+    pack_codes,
+    project_site,
+    residual_norm,
+)
 
 __all__ = [
     "QdLattice",
@@ -420,22 +427,21 @@ def z2_toric_reference(lat: QdLattice, G: FiniteGroup) -> SparseState:
         for lid in set(p.slots.values()):
             parity ^= bits[:, col[lid]]
         keep &= parity == 0
-    reg = link_register(lat, G)
     amps = np.ones(int(keep.sum()), dtype=complex)
-    return SparseState(reg, bits[keep], amps).normalized()
+    return SparseState(link_register(lat, G), pack_codes(bits[keep], 2),
+                       amps).normalized()
 
 
 def _project_wilson_even(state: SparseState, lat: QdLattice) -> SparseState:
     row, col = wilson_cycles(lat)
-    keys = state.keys
     reg = state.register
     keep = np.ones(len(state), dtype=bool)
     for cycle in (row, col):
-        parity = np.zeros(len(state), dtype=np.int16)
+        parity = np.zeros(len(state), dtype=np.int64)
         for lid in cycle:
-            parity ^= keys[:, reg.axis(lid)]
+            parity ^= reg.digit(state.codes, lid)
         keep &= parity == 0
-    out = SparseState(reg, keys[keep], state.amps[keep])
+    out = SparseState(reg, state.codes[keep], state.amps[keep])
     if out.norm() == 0:
         raise ValueError("state has no weight in the even Wilson sector")
     return out

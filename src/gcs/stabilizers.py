@@ -32,7 +32,6 @@ from .states import (
     SparseState,
     code_residuals,
     merge_codes,
-    pack_codes,
     random_states,
     residual_norm,
 )
@@ -223,15 +222,15 @@ class ConditionalMonomial:
                     progress = True
         return tuple(steps), sorted(unsolved), frozenset(implied)
 
-    def _solve_variables(self, register: Register,
-                         keys: np.ndarray) -> tuple[dict, list]:
+    def _solve_variables(self, digits: dict) -> tuple[dict, list]:
         """Per-row arrays for every variable solvable from leading projector
-        factors; remaining variables are returned for enumeration."""
+        factors, given each operator site's row digits; remaining variables
+        are returned for enumeration."""
         G = self.group
         env: dict = {}
         steps, free, _ = self._plan
         for site, name, prefix, suffix, inverted in steps:
-            digit = keys[:, register.axis(site)]
+            digit = digits[site]
             a = prefix.evaluate(G, env)
             b = suffix.evaluate(G, env)
             if np.ndim(a) or np.ndim(b):
@@ -246,20 +245,19 @@ class ConditionalMonomial:
             env[name] = digit if identity else lut[digit]
         return env, list(free)
 
-    def _act(self, register: Register, keys: np.ndarray, amps: np.ndarray,
-             env: dict):
-        """(keys, amps, moved): ``moved`` is False when no digit was
+    def _act(self, register: Register, codes: np.ndarray, digits: dict,
+             amps: np.ndarray, env: dict):
+        """(codes, amps, moved): ``moved`` is False when no digit was
         rewritten, in which case the surviving rows keep their input order
         (a filtered/rephased subset of the input rows)."""
         G = self.group
-        rows = keys  # copied lazily on the first digit rewrite
+        out = codes
         if self.scalar != 1.0:
             amps = amps * self.scalar
         alive = None
         implied = self._plan[2]
         for site, factors in self.sites.items():
-            c = register.axis(site)
-            digit = rows[:, c]
+            old = digit = digits[site]
             rewritten = False
             for i, f in enumerate(factors):
                 if f.kind == "T":
@@ -279,56 +277,56 @@ class ConditionalMonomial:
                 else:  # pragma: no cover
                     raise ValueError(f"unknown factor kind {f.kind}")
             if rewritten:
-                if rows is keys:
-                    rows = rows.copy()
-                rows[:, c] = digit
-        moved = rows is not keys
+                out = out + register.place_value(site, digit - old)
+        moved = out is not codes
         if alive is None:
-            return rows, amps, moved
-        return rows[alive], amps[alive], moved
+            return out, amps, moved
+        return out[alive], amps[alive], moved
 
-    def act_rows(self, register: Register, keys: np.ndarray, amps: np.ndarray,
+    def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray,
                  states: int = 1):
-        """Linear action on raw rows: (keys, amps, moved).
+        """Linear action on raw rows of codes: (codes, amps, moved).
 
         Variables fixed by leading projectors are read off each row (cost
         proportional to the number of rows); any remainder is enumerated
         exhaustively, within a budget that counts ``states`` equal blocks
-        of stacked rows one block at a time.  Columns of ``keys`` beyond
-        the register's width pass through untouched.  The output rows are
-        not merged: when ``moved`` is True a digit was rewritten or
-        variables were enumerated, so rows may repeat or be out of order;
-        otherwise they are a filtered, rephased subset of the input rows in
-        input order.
+        of stacked rows one block at a time.  Multiples of the register's
+        dimension added to a code (a block offset) pass through untouched.
+        The output rows are not merged: when ``moved`` is True a digit was
+        rewritten or variables were enumerated, so rows may repeat or be
+        out of order; otherwise they are a filtered, rephased subset of the
+        input rows in input order.
         """
         for site in self.sites:
             if site not in register.sites:
                 raise KeyError(f"operator site {site!r} not in register")
-        if len(keys) == 0:
-            return keys, amps, False
-        env, free = self._solve_variables(register, keys)
+        if len(codes) == 0:
+            return codes, amps, False
+        # each operator site's digits, read once per call
+        digits = {site: register.digit(codes, site) for site in self.sites}
+        env, free = self._solve_variables(digits)
         if not free:
-            return self._act(register, keys, amps, env)
+            return self._act(register, codes, digits, amps, env)
         n = self.group.order
-        per_state = len(keys) // states
+        per_state = len(codes) // states
         if n ** len(free) * per_state > ENUM_CAP * 10:
             raise RuntimeError(
                 f"enumerating {len(free)} free variables over {per_state} keys "
                 "exceeds the evaluation budget"
             )
-        parts_k, parts_a = [], []
+        parts_c, parts_a = [], []
         for combo in itertools.product(range(n), repeat=len(free)):
             env2 = dict(env)
             env2.update(zip(free, combo))
-            k, a, _ = self._act(register, keys, amps, env2)
-            parts_k.append(k)
+            c, a, _ = self._act(register, codes, digits, amps, env2)
+            parts_c.append(c)
             parts_a.append(a)
-        return np.concatenate(parts_k), np.concatenate(parts_a), True
+        return np.concatenate(parts_c), np.concatenate(parts_a), True
 
     def apply(self, state: SparseState) -> SparseState:
         """Linear action on a state (see ``act_rows``)."""
-        keys, amps, moved = self.act_rows(state.register, state.keys, state.amps)
-        return SparseState(state.register, keys, amps, canonical=not moved)
+        codes, amps, moved = self.act_rows(state.register, state.codes, state.amps)
+        return SparseState(state.register, codes, amps, canonical=not moved)
 
     # --- Printing ---
 
@@ -679,18 +677,16 @@ def verify(stabs: StabilizerSet, state: SparseState,
            tol: float = STABILIZER_TOL) -> VerifyReport:
     """Max over stabilizers of |S psi - psi| / |psi|.
 
-    Each residual is taken from the operator's raw output rows against the
-    state's cached sorted codes; only the 1-D packed codes get sorted."""
+    Each residual is taken from the operator's raw output codes, merged,
+    against the state's sorted codes."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    reg = state.register
-    ref = state.packed_codes()
     residuals = {}
     for label, op in stabs:
-        keys, amps, _ = op.act_rows(reg, state.keys, state.amps)
-        codes, amps = merge_codes(pack_codes(keys, reg.group.order), amps)
-        sq = code_residuals(codes, amps, ref, state.amps)[1]
+        codes, amps, _ = op.act_rows(state.register, state.codes, state.amps)
+        codes, amps = merge_codes(codes, amps)
+        sq = code_residuals(codes, amps, state.codes, state.amps)[1]
         residuals[label] = float(np.sqrt(np.sum(sq))) / norm
     return VerifyReport(residuals, tol)
 
@@ -717,19 +713,16 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
 def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
                        register: Register, psis: list) -> np.ndarray:
     """||a psi - b psi||^2 for each psi in ``psis``.  The states are stacked
-    into one block of rows with a trailing batch column that no operator
-    touches, so each operator acts once; the per-state sums come from
-    canonicalizing the codes batch * |G|^width + packed key."""
-    w, order, dim = register.width, register.group.order, register.dimension
-    keys = np.empty((sum(len(p) for p in psis), w + 1), dtype=np.int32)
-    keys[:, :w] = np.concatenate([p.keys for p in psis])
-    keys[:, w] = np.repeat(np.arange(len(psis)), [len(p) for p in psis])
+    into one block of rows, state i's codes offset by i * |G|^width, which
+    no digit read or rewrite touches, so each operator acts once; the
+    per-state sums come from canonicalizing the offset codes."""
+    dim = register.dimension
+    codes = np.concatenate([p.codes + i * dim for i, p in enumerate(psis)])
     amps = np.concatenate([p.amps for p in psis])
 
     def rows(op):
-        k, am, _ = op.act_rows(register, keys, amps, states=len(psis))
-        codes = k[:, w].astype(np.int64) * dim + pack_codes(k[:, :w], order)
-        return merge_codes(codes, am)
+        c, am, _ = op.act_rows(register, codes, amps, states=len(psis))
+        return merge_codes(c, am)
 
     codes, sq = code_residuals(*rows(a), *rows(b))
     return np.bincount(codes // dim, weights=sq, minlength=len(psis))

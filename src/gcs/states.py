@@ -1,20 +1,24 @@
 """Sparse multi-qudit states over a group-element basis.
 
 A register is an ordered list of named sites sharing one finite group; a
-state is a sparse map from basis keys (one element index per site) to
-complex amplitudes, stored as an integer key matrix plus an amplitude
-vector so that operators vectorize.  Every key row also reads as one int64
-code, its digits base |G| (first site most significant), so sorting,
-merging and matching rows sort and compare 1-D codes; a register whose
-codes would not fit 62 bits is refused (``OverBudget``).  States are
-values: every operation returns a new state and never mutates its input.
-Stored states are kept canonical — keys unique and sorted, amplitudes
-pruned below 1e-14.
+basis vector |g_1 ... g_n> of C[G]^n is one int64 code, the mixed-radix
+index sum_c g_c |G|^(n-1-c) (first site most significant).  A state is a
+sparse map from codes to complex amplitudes, stored as a sorted code array
+plus an amplitude vector, so operators vectorize and sorting, merging and
+matching basis vectors sort and compare 1-D codes.  Site c's digit is read
+by arithmetic, ``codes % (place[c] * |G|) // place[c]`` with place[c] =
+|G|^(n-1-c), and rewritten by adding ``(new - old) * place[c]``
+(``Register.digit``, ``Register.place_value``); a register whose codes
+would not fit 62 bits is refused (``OverBudget``).
+States are values: every operation returns a new state and never mutates
+its input.  Stored states are kept canonical — codes unique and sorted,
+amplitudes pruned below 1e-14.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +57,6 @@ __all__ = [
 PRUNE_TOL = 1e-14
 DENSE_CAP = 2**20
 RDM_CAP = 4096
-_PACK_BLOCK = 1 << 13
 
 
 class OverBudget(ValueError):
@@ -87,11 +90,37 @@ class Register:
             raise ValueError("register sites must be unique")
         check_width(self.group, len(self.sites))
 
+    @cached_property
+    def _axes(self) -> dict:
+        return {s: c for c, s in enumerate(self.sites)}
+
+    @cached_property
+    def place(self) -> np.ndarray:
+        """Place value |G|^(width-1-c) of each site's digit in a code."""
+        return self.group.order ** np.arange(self.width - 1, -1, -1,
+                                             dtype=np.int64)
+
     def axis(self, site) -> int:
         try:
-            return self.sites.index(site)
-        except ValueError:
+            return self._axes[site]
+        except KeyError:
             raise KeyError(f"site {site!r} not in register")
+
+    def digit(self, codes: np.ndarray, site) -> np.ndarray:
+        """The element index at ``site`` of each code.  Multiples of the
+        register's dimension added to a code do not change its digits."""
+        p = self.place[self.axis(site)]
+        return codes % (p * self.group.order) // p
+
+    def place_value(self, site, digits) -> np.ndarray:
+        """What ``digits`` at ``site`` add to a code, as int64."""
+        return np.multiply(digits, self.place[self.axis(site)], dtype=np.int64)
+
+    def without(self, codes: np.ndarray, site) -> np.ndarray:
+        """Codes of ``drop(site)``: each code with the digit at ``site``
+        removed (not sorted)."""
+        p = self.place[self.axis(site)]
+        return codes // (p * self.group.order) * p + codes % p
 
     def drop(self, site) -> "Register":
         return Register(self.group, tuple(s for s in self.sites if s != site))
@@ -105,67 +134,25 @@ class Register:
         return self.group.order ** len(self.sites)
 
 
-def _merge_runs(boundary: np.ndarray, amps: np.ndarray):
-    """(rows, merged): the first row of each run of equal sorted rows that
-    ``boundary`` marks, and each run's amplitude sum, pruned below
-    PRUNE_TOL."""
-    if boundary.all():  # no duplicates to merge
-        keep = np.abs(amps) > PRUNE_TOL
-        return np.flatnonzero(keep), amps[keep]
-    starts = np.flatnonzero(boundary)
-    merged = np.add.reduceat(amps, starts)
-    keep = np.abs(merged) > PRUNE_TOL
-    return starts[keep], merged[keep]
-
-
-def _sorted_boundary(codes: np.ndarray) -> np.ndarray:
-    boundary = np.empty(len(codes), dtype=bool)
-    boundary[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    return boundary
-
-
-def _canonicalize(keys: np.ndarray, amps: np.ndarray, order: int):
-    """Sort rows by their packed codes, merge duplicates, prune tiny
-    amplitudes.
-
-    Returns (keys, amps, codes) where ``codes`` is the sorted packed-int64
-    row encoding (None for the empty and the zero-width cases, where
-    ``packed_codes`` computes it on demand)."""
-    m, n = keys.shape
-    if m == 0:
-        return keys.reshape(0, n), amps.reshape(0), None
-    if n == 0:
-        total = amps.sum()
-        if abs(total) <= PRUNE_TOL:
-            return keys.reshape(0, 0), amps[:0], None
-        return np.zeros((1, 0), dtype=keys.dtype), np.array([total]), None
-    codes = pack_codes(keys, order)
-    perm = np.argsort(codes, kind="stable")
-    codes = codes[perm]
-    rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
-    return np.ascontiguousarray(keys[perm[rows]]), merged, codes[rows]
-
-
 class SparseState:
-    """Immutable sparse state vector.  ``keys`` is (m, width) int16,
-    ``amps`` is (m,) complex128; rows are unique and sorted."""
+    """Immutable sparse state vector: ``codes`` is (m,) int64, the sorted,
+    unique basis-vector codes of the register; ``amps`` is (m,) complex128.
+    The constructor merges and sorts its rows unless ``canonical`` says
+    they already are."""
 
-    __slots__ = ("register", "keys", "amps", "_codes")
+    __slots__ = ("register", "codes", "amps")
 
-    def __init__(self, register: Register, keys: np.ndarray, amps: np.ndarray,
+    def __init__(self, register: Register, codes: np.ndarray, amps: np.ndarray,
                  canonical: bool = False):
-        keys = np.asarray(keys, dtype=np.int16).reshape(-1, register.width)
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         amps = np.asarray(amps, dtype=complex).reshape(-1)
-        if keys.shape[0] != amps.shape[0]:
-            raise ValueError("keys/amps length mismatch")
-        codes = None
+        if codes.shape[0] != amps.shape[0]:
+            raise ValueError("codes/amps length mismatch")
         if not canonical:
-            keys, amps, codes = _canonicalize(keys, amps, register.group.order)
+            codes, amps = merge_codes(codes, amps)
         object.__setattr__(self, "register", register)
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "_codes", codes)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SparseState is immutable")
@@ -174,20 +161,29 @@ class SparseState:
     def from_dict(cls, register: Register, entries: Mapping[tuple, complex]) -> "SparseState":
         if not entries:
             return cls.zero(register)
-        keys = np.array([list(k) for k in entries], dtype=np.int16)
+        keys = np.array([list(k) for k in entries], dtype=np.int64)
         amps = np.array(list(entries.values()), dtype=complex)
-        return cls(register, keys, amps)
+        keys = keys.reshape(len(amps), register.width)
+        if keys.size and not (0 <= keys.min() and keys.max() < register.group.order):
+            # an out-of-range digit would alias another basis vector's code
+            raise ValueError("basis key digits must lie in 0..|G|-1")
+        return cls(register, pack_codes(keys, register.group.order), amps)
 
     @classmethod
     def zero(cls, register: Register) -> "SparseState":
-        return cls(register,
-                   np.zeros((0, register.width), dtype=np.int16),
+        return cls(register, np.zeros(0, dtype=np.int64),
                    np.zeros(0, dtype=complex), canonical=True)
 
     # --- Inspection ---
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return len(self.codes)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """(m, width) int16 digit rows of the codes, unpacked on each call."""
+        reg = self.register
+        return (self.codes[:, None] // reg.place % reg.group.order).astype(np.int16)
 
     def items(self) -> Iterator[tuple[tuple, complex]]:
         for row, a in zip(self.keys, self.amps):
@@ -197,39 +193,32 @@ class SparseState:
         return dict(self.items())
 
     def amplitude(self, key: Sequence[int]) -> complex:
-        row = np.asarray(key, dtype=np.int16)
-        hit = np.flatnonzero(np.all(self.keys == row, axis=1))
-        return complex(self.amps[hit[0]]) if hit.size else 0.0
+        key = np.asarray(key, dtype=np.int64)
+        if np.any((key < 0) | (key >= self.register.group.order)):
+            return 0.0  # not a basis key
+        code = int(np.dot(key, self.register.place))
+        i = np.searchsorted(self.codes, code)
+        hit = i < len(self.codes) and self.codes[i] == code
+        return complex(self.amps[i]) if hit else 0.0
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def packed_codes(self) -> np.ndarray:
-        """Sorted packed-int64 row codes (see ``pack_codes``), cached."""
-        if self._codes is None:
-            codes = pack_codes(self.keys, self.register.group.order)
-            object.__setattr__(self, "_codes", codes)
-        return self._codes
 
     def normalized(self) -> "SparseState":
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero state")
-        out = SparseState(self.register, self.keys, self.amps / n, canonical=True)
-        object.__setattr__(out, "_codes", self._codes)
-        return out
+        return SparseState(self.register, self.codes, self.amps / n, canonical=True)
 
     def scaled(self, c: complex) -> "SparseState":
-        out = SparseState(self.register, self.keys, self.amps * c, canonical=abs(c) > 0)
-        if abs(c) > 0:
-            object.__setattr__(out, "_codes", self._codes)
-        return out
+        return SparseState(self.register, self.codes, self.amps * c,
+                           canonical=abs(c) > 0)
 
     def add(self, other: "SparseState") -> "SparseState":
         _check_same_register(self, other)
         return SparseState(
             self.register,
-            np.concatenate([self.keys, other.keys]),
+            np.concatenate([self.codes, other.codes]),
             np.concatenate([self.amps, other.amps]),
         )
 
@@ -239,7 +228,7 @@ class SparseState:
         if dim > DENSE_CAP:
             raise ValueError(f"dense dimension {dim} exceeds cap {DENSE_CAP}")
         vec = np.zeros(dim, dtype=complex)
-        vec[self.packed_codes()] = self.amps
+        vec[self.codes] = self.amps
         return vec
 
 
@@ -251,30 +240,28 @@ def _check_same_register(a: SparseState, b: SparseState) -> None:
 def pack_codes(keys: np.ndarray, order: int) -> np.ndarray:
     """One int64 code per key row, the row read as base-``order`` digits
     (first column most significant): sorting codes sorts rows."""
-    place = order ** np.arange(keys.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = np.empty(keys.shape[0], dtype=np.int64)
-    # blocks bound the int64 copy of the rows that the product makes
-    for lo in range(0, len(codes), _PACK_BLOCK):
-        np.matmul(keys[lo:lo + _PACK_BLOCK], place, out=codes[lo:lo + _PACK_BLOCK])
+    codes = np.zeros(keys.shape[0], dtype=np.int64)
+    for c in range(keys.shape[1]):
+        codes = codes * order + keys[:, c]
     return codes
 
 
-def _unpack(codes: np.ndarray, order: int, width: int) -> np.ndarray:
-    """Key rows of packed codes (the inverse of ``pack_codes``)."""
-    place = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (codes[:, None] // place % order).astype(np.int16)
-
-
 def merge_codes(codes: np.ndarray, amps: np.ndarray):
-    """Canonical form of a row set given by its packed codes: codes sorted
-    and unique, amplitudes of equal codes summed, sums below PRUNE_TOL
-    dropped.  Only the 1-D codes are sorted, never the key rows."""
+    """Canonical form of a row set given by its codes: codes sorted and
+    unique (a stable sort), amplitudes of equal codes summed, sums below
+    PRUNE_TOL dropped."""
     if len(codes) == 0:
         return codes, amps
     perm = np.argsort(codes, kind="stable")
-    codes = codes[perm]
-    rows, merged = _merge_runs(_sorted_boundary(codes), amps[perm])
-    return codes[rows], merged
+    codes, amps = codes[perm], amps[perm]
+    boundary = np.empty(len(codes), dtype=bool)
+    boundary[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
+    if not boundary.all():  # sum each run of equal codes
+        starts = np.flatnonzero(boundary)
+        codes, amps = codes[starts], np.add.reduceat(amps, starts)
+    keep = np.abs(amps) > PRUNE_TOL
+    return codes[keep], amps[keep]
 
 
 def code_residuals(ca: np.ndarray, aa: np.ndarray, cb: np.ndarray,
@@ -310,11 +297,10 @@ def group_basis_state(register: Register, key: Sequence[int]) -> SparseState:
 def trivial_irrep_state(register: Register) -> SparseState:
     """Equal superposition over every basis key: one copy of the
     uniform one-site state on each register site."""
-    n = register.group.order
-    w = register.width
-    keys = np.indices((n,) * w, dtype=np.int16).reshape(w, -1).T if w else np.zeros((1, 0), np.int16)
-    amps = np.full(keys.shape[0], n ** (-w / 2), dtype=complex)
-    return SparseState(register, keys, amps, canonical=w > 0)
+    n, w = register.group.order, register.width
+    amps = np.full(register.dimension, n ** (-w / 2), dtype=complex)
+    return SparseState(register, np.arange(register.dimension), amps,
+                       canonical=True)
 
 
 def rep_basis_state(register: Register, site, irrep: Irrep, i: int, j: int) -> SparseState:
@@ -325,20 +311,18 @@ def rep_basis_state(register: Register, site, irrep: Irrep, i: int, j: int) -> S
     if not (0 <= i < irrep.dim and 0 <= j < irrep.dim):
         raise ValueError("matrix indices out of range")
     n = register.group.order
-    keys = np.arange(n, dtype=np.int16).reshape(n, 1)
     amps = np.sqrt(irrep.dim / n) * irrep.matrices[:, i, j]
-    return SparseState(register, keys, amps)
+    return SparseState(register, np.arange(n), amps)
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     if a.register.group.name != b.register.group.name:
         raise ValueError("tensor factors must share the group")
     reg = Register(a.register.group, a.register.sites + b.register.sites)
-    ka = np.repeat(a.keys, len(b), axis=0)
-    kb = np.tile(b.keys, (len(a), 1))
-    keys = np.concatenate([ka, kb], axis=1)
+    codes = (np.repeat(a.codes, len(b)) * b.register.dimension
+             + np.tile(b.codes, len(a)))
     amps = np.repeat(a.amps, len(b)) * np.tile(b.amps, len(a))
-    return SparseState(reg, keys, amps)
+    return SparseState(reg, codes, amps)
 
 
 def random_states(register: Register, rng: np.random.Generator, count: int,
@@ -347,24 +331,17 @@ def random_states(register: Register, rng: np.random.Generator, count: int,
     ``n_keys`` distinct keys drawn uniformly without replacement (the
     whole basis if smaller) and standard-normal complex amplitudes,
     normalized."""
-    n = register.group.order
-    w = register.width
     size = min(n_keys, register.dimension)
     codes = np.empty((count, size), dtype=np.int64)
     for i in range(count):
         codes[i] = rng.choice(register.dimension, size=size, replace=False)
     codes.sort(axis=1)
-    keys = _unpack(codes.reshape(-1), n, w).reshape(count, size, w)
     amps = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
     norms = np.linalg.norm(amps, axis=1, keepdims=True)
     if count and not norms.all():
         raise ValueError("cannot normalize the zero state")
-    out = []
-    for i in range(count):
-        psi = SparseState(register, keys[i], amps[i] / norms[i], canonical=True)
-        object.__setattr__(psi, "_codes", codes[i])
-        out.append(psi)
-    return out
+    return [SparseState(register, codes[i], amps[i] / norms[i], canonical=True)
+            for i in range(count)]
 
 
 def random_state(register: Register, rng: np.random.Generator,
@@ -381,7 +358,7 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     _check_same_register(a, b)
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    ca, cb = a.packed_codes(), b.packed_codes()
+    ca, cb = a.codes, b.codes
     ia = np.clip(np.searchsorted(ca, cb), 0, len(ca) - 1)
     hit = ca[ia] == cb
     return complex(np.sum(np.conj(a.amps[ia[hit]]) * b.amps[hit]))
@@ -398,7 +375,7 @@ def residual_norm(a: SparseState, b: SparseState) -> float:
         return b.norm()
     if len(b) == 0:
         return a.norm()
-    sq = code_residuals(a.packed_codes(), a.amps, b.packed_codes(), b.amps)[1]
+    sq = code_residuals(a.codes, a.amps, b.codes, b.amps)[1]
     return float(np.sqrt(np.sum(sq)))
 
 
@@ -416,12 +393,10 @@ def project_site(state: SparseState, site, vec: np.ndarray) -> SparseState:
     Returns the unnormalized partial inner product: the caller decides
     whether the (possibly zero) result is an error.
     """
-    G = state.register.group
-    vec = np.asarray(vec, dtype=complex).reshape(G.order)
-    c = state.register.axis(site)
-    amps = state.amps * np.conj(vec)[state.keys[:, c]]
-    keys = np.delete(state.keys, c, axis=1)
-    return SparseState(state.register.drop(site), keys, amps)
+    reg = state.register
+    vec = np.asarray(vec, dtype=complex).reshape(reg.group.order)
+    amps = state.amps * np.conj(vec)[reg.digit(state.codes, site)]
+    return SparseState(reg.drop(site), reg.without(state.codes, site), amps)
 
 
 # --- Basis change ---
@@ -472,31 +447,25 @@ def change_basis(state: SparseState, site, direction: str) -> np.ndarray:
 # --- Reduced density matrices and Schmidt data ---
 
 
-def _split_axes(register: Register, kept) -> tuple[list[int], list[int]]:
-    kept = list(kept)
-    axes_a = [register.axis(s) for s in kept]
-    axes_b = [i for i in range(register.width) if i not in axes_a]
-    return axes_a, axes_b
-
-
 def _bipartition_matrix(state: SparseState, part_a) -> np.ndarray:
-    """Dense (dim_A, #distinct B keys) coefficient matrix."""
-    order = state.register.group.order
-    axes_a, axes_b = _split_axes(state.register, part_a)
-    if not axes_a:
+    """Dense (dim_A, #distinct B keys) coefficient matrix: rows are the
+    ``part_a`` digits read in that order, columns the distinct rest
+    digits in code order."""
+    reg = state.register
+    part_a = list(part_a)
+    if not part_a:
         raise ValueError("bipartition part must be nonempty")
-    dim_a = order ** len(axes_a)
+    dim_a = reg.group.order ** len(part_a)
     if dim_a > RDM_CAP:
         raise ValueError(f"kept dimension {dim_a} exceeds cap {RDM_CAP}")
-    codes_a = pack_codes(state.keys[:, axes_a], order)
-    if axes_b:
-        codes_b = pack_codes(state.keys[:, axes_b], order)
-        uniq, col = np.unique(codes_b, return_inverse=True)
-        m = np.zeros((dim_a, len(uniq)), dtype=complex)
-    else:
-        col = np.zeros(len(state.amps), dtype=int)
-        m = np.zeros((dim_a, 1), dtype=complex)
-    np.add.at(m, (codes_a, col), state.amps)
+    digits = {s: reg.digit(state.codes, s) for s in part_a}
+    row = np.zeros(len(state), dtype=np.int64)
+    for s in part_a:
+        row = row * reg.group.order + digits[s]
+    rest = state.codes - sum(reg.place_value(s, d) for s, d in digits.items())
+    uniq, col = np.unique(rest, return_inverse=True)
+    m = np.zeros((dim_a, len(uniq)), dtype=complex)
+    np.add.at(m, (row, col), state.amps)
     return m
 
 
@@ -527,10 +496,10 @@ def schmidt_data(state: SparseState, part_a, threshold: float = 1e-10):
 
 def site_marginal(state: SparseState, site) -> np.ndarray:
     """Born probabilities of group-basis outcomes at ``site``."""
-    c = state.register.axis(site)
+    reg = state.register
+    digit = reg.digit(state.codes, site)
     n2 = state.norm() ** 2
     if n2 == 0:
         raise ValueError("zero-norm state has no outcome distribution")
     w = np.abs(state.amps) ** 2
-    return np.bincount(state.keys[:, c], weights=w,
-                       minlength=state.register.group.order) / n2
+    return np.bincount(digit, weights=w, minlength=reg.group.order) / n2

@@ -18,6 +18,7 @@ import numpy as np
 
 from .graphs import ClusterGraph
 from .groups import FiniteGroup, Irrep, rep_direct_sum, rep_tensor
+from .stabilizers import ConditionalMonomial, Factor, Word
 from .states import Register, SparseState, random_state, residual_norm
 
 __all__ = [
@@ -53,14 +54,15 @@ def ring_even_cycle(g: ClusterGraph) -> tuple:
             # next, which needs the onward edge oriented out of the next even
             raise fail(f"odd vertex {odd} controls both of its edges")
         step[v] = onward.tail
-    cycle = [evens[0]]
+    cycle, seen = [evens[0]], {evens[0]}
     while True:
         nxt = step[cycle[-1]]
         if nxt == cycle[0]:
             break
-        if nxt in cycle or len(cycle) > len(evens):
+        if nxt in seen:
             raise fail("even sites do not close into a single cycle")
         cycle.append(nxt)
+        seen.add(nxt)
     if len(cycle) != len(evens):
         raise fail("graph is not connected")
     return tuple(cycle)
@@ -69,19 +71,13 @@ def ring_even_cycle(g: ClusterGraph) -> tuple:
 def apply_u_odd(state: SparseState, g: ClusterGraph, x: int) -> SparseState:
     """Right-multiply every odd digit by x^-1 (the odd global symmetry)."""
     ring_even_cycle(g)
-    return _u_odd(state, _axes(state.register, g.odd_vertices), x)
+    return _u_odd(state.register.group, g, x).apply(state)
 
 
-def _axes(reg: Register, sites) -> list[int]:
-    return [reg.axis(v) for v in sites]
-
-
-def _u_odd(state: SparseState, odd_axes, x: int) -> SparseState:
-    G = state.register.group
-    keys = state.keys.copy()
-    for c in odd_axes:
-        keys[:, c] = G.table[keys[:, c], G.inverse[x]]
-    return SparseState(state.register, keys, state.amps.copy())
+def _u_odd(G: FiniteGroup, g: ClusterGraph, x: int) -> ConditionalMonomial:
+    """Xr(x) on every odd site of ``g``."""
+    factor = (Factor("XR", Word.const(x)),)
+    return ConditionalMonomial(G, (), {w: factor for w in g.odd_vertices})
 
 
 def _resolve_irrep(G: FiniteGroup, irrep) -> Irrep:
@@ -98,18 +94,20 @@ def apply_u_even(state: SparseState, g: ClusterGraph, irrep,
     """
     rep = _resolve_irrep(state.register.group, irrep)
     cycle = ring_even_cycle(g)
-    return _u_even(state, _axes(state.register, cycle), rep, normalized)
+    return _u_even(state, cycle, rep, normalized)
 
 
-def _u_even(state: SparseState, cycle_axes, rep: Irrep,
+def _u_even(state: SparseState, cycle, rep: Irrep,
             normalized: bool) -> SparseState:
-    prod = rep.matrices[state.keys[:, cycle_axes[0]]]
-    for ax in cycle_axes[1:]:
-        prod = prod @ rep.matrices[state.keys[:, ax]]
+    reg = state.register
+    prod = rep.matrices[reg.digit(state.codes, cycle[0])]
+    for v in cycle[1:]:
+        prod = prod @ rep.matrices[reg.digit(state.codes, v)]
     coeff = np.einsum("mii->m", prod)
     if normalized:
         coeff = coeff / rep.dim
-    return SparseState(state.register, state.keys.copy(), state.amps * coeff)
+    # the codes keep their order; the constructor only prunes zero weights
+    return SparseState(reg, state.codes, state.amps * coeff)
 
 
 def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
@@ -124,8 +122,6 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
     cycle = ring_even_cycle(g)
     rng = rng or np.random.default_rng(0)
     reg = Register(G, g.vertex_ids)
-    odd_axes = _axes(reg, g.odd_vertices)
-    even_axes = _axes(reg, cycle)
     checks: dict[str, float] = {
         "odd_composition": 0.0,
         "odd_identity": 0.0,
@@ -141,12 +137,13 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
         pairs = [pairs[i] for i in idx]
     irrep_pairs = [(r1, r2, rep_tensor(r1, r2), rep_direct_sum(r1, r2))
                    for r1 in G.irreps for r2 in G.irreps]
+    u_odd = [_u_odd(G, g, x) for x in range(n)]
 
     def odd(state, x):
-        return _u_odd(state, odd_axes, x)
+        return u_odd[x].apply(state)
 
     def even(state, rep):
-        return _u_even(state, even_axes, rep, normalized=False)
+        return _u_even(state, cycle, rep, normalized=False)
 
     def note(name, lhs, rhs):
         checks[name] = max(checks[name], residual_norm(lhs, rhs))

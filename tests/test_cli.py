@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,21 @@ def test_register_past_the_width_limit_is_input_error(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+def test_large_graph_file_loads_in_linear_time(tmp_path, capsys):
+    # a 32,000-vertex line without orderings: loading and validating it
+    # indexes the graph once (a per-vertex edge scan took ~50 s), then the
+    # register is past the width limit
+    g = line_graph(32000, "e")
+    obj = graph_to_json(g)
+    del obj["orderings"]
+    path = tmp_path / "line32000.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert run(["build", "--group", "Z2", "--graph", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    _one_error_line(capsys)
+
+
 def test_build_missing_graph_file_is_input_error(tmp_path):
     assert run(["build", "--group", "Z2",
                 "--graph", str(tmp_path / "missing.json")]) == 2
@@ -131,6 +147,41 @@ def test_wrongly_shaped_group_file_is_input_error(tmp_path, capsys, obj):
     path.write_text(json.dumps(obj))
     assert run(["group", "validate", "--name", str(path)]) == 2
     _one_error_line(capsys)
+
+
+def _group_sizes():
+    good = group_to_json(builtin_group("Z2"))
+    # order 257 with a short table: refused before any array is built
+    return [({**good, "order": 257}, "outside 1..256"),
+            ({**good, "order": 0, "mul": [], "inv": []}, "outside 1..256"),
+            ({**good, "mul": good["mul"][:3]}, "needs 4 'mul'"),
+            ({**good, "inv": [0]}, "and 2 'inv'")]
+
+
+@pytest.mark.parametrize("obj,says", _group_sizes(),
+                         ids=["order-257", "order-0", "short-mul", "short-inv"])
+def test_group_file_sizes_are_bounded(tmp_path, capsys, obj, says):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    assert run(["group", "validate", "--name", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
+
+
+@pytest.mark.parametrize("drop", [True, False], ids=["no-irreps", "empty-irreps"])
+def test_irrepless_group_file_fails_completeness(tmp_path, capsys, drop):
+    obj = group_to_json(builtin_group("S3"))
+    if drop:
+        del obj["irreps"]
+    else:
+        obj["irreps"] = []
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(obj))
+    assert run(["group", "validate", "--name", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "completeness" in err
 
 
 # --- stabilizers ---

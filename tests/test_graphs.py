@@ -116,6 +116,23 @@ def test_json_rejects_invalid():
     graph_from_json(obj, validate=False)
 
 
+def test_lookups_index_first_declarations():
+    obj = graph_to_json(line_graph(3, "eoe"))
+    obj["vertices"].append({"id": "1", "parity": "even"})  # duplicate id
+    obj["edges"].append({"id": "e0", "tail": "2", "head": "1"})  # duplicate id
+    g = graph_from_json(obj, validate=False)
+    assert g.parity("1") == "odd"
+    assert g.edge("e0") == Edge("e0", "0", "1")
+    assert [e.id for e in g.incident_edges("1")] == ["e0", "e1", "e0"]
+    assert g.incident_edges("nope") == ()
+    bad = validate_graph(g).violations
+    assert "duplicate vertex ids" in bad and "duplicate edge ids" in bad
+    with pytest.raises(KeyError):
+        g.parity("nope")
+    with pytest.raises(KeyError):
+        g.edge("nope")
+
+
 def test_scramble_ordering():
     g = line_graph(3, "oeo", directions=["bwd", "fwd"])
     assert g.orderings["1"] == ("e0", "e1")

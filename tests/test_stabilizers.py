@@ -177,7 +177,8 @@ def test_apply_solves_chained_variables_without_enumeration():
         "c": [Factor("XL", Word.var("y"))],
     })
     psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0})
-    env, free = op._solve_variables(reg, psi.keys)
+    env, free = op._solve_variables(
+        {s: reg.digit(psi.codes, s) for s in op.sites})
     assert not free
     y = G.table[G.inverse[2], 4]
     out = op.apply(psi)

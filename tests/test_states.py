@@ -31,7 +31,6 @@ from gcs.states import (
     tensor,
     trivial_irrep_state,
 )
-from gcs.states import _unpack
 
 TOL = 1e-12
 
@@ -378,9 +377,10 @@ def test_random_state_is_an_unbiased_canonical_subset(width):
         assert set(s.keys[:, 0].tolist()) == set(range(6)), seed
         assert len(s) == 64
         assert abs(s.norm() - 1.0) < TOL
-        canon = SparseState(r, s.keys, s.amps)
-        assert np.array_equal(canon.keys, s.keys)
-        assert np.array_equal(canon.packed_codes(), s.packed_codes())
+        assert np.all(np.diff(s.codes) > 0)  # sorted and unique
+        canon = SparseState(r, s.codes, s.amps)
+        assert np.array_equal(canon.codes, s.codes)
+        assert np.array_equal(canon.amps, s.amps)
 
 
 def test_register_width_limit():
@@ -396,10 +396,10 @@ def test_random_states_draws_distinct_canonical_states():
     r = reg("S3", *"abcdef")
     states = random_states(r, np.random.default_rng(4), 5, 64)
     assert len(states) == 5
-    assert len({s.keys.tobytes() for s in states}) == 5
+    assert len({s.codes.tobytes() for s in states}) == 5
     for s in states:
         assert len(s) == 64 and abs(s.norm() - 1.0) < TOL
-        assert np.array_equal(SparseState(r, s.keys, s.amps).keys, s.keys)
+        assert np.array_equal(SparseState(r, s.codes, s.amps).codes, s.codes)
 
 
 def test_pack_codes_matches_digit_loop():
@@ -409,7 +409,37 @@ def test_pack_codes_matches_digit_loop():
     for c in range(keys.shape[1]):
         want = want * 6 + keys[:, c]
     assert np.array_equal(pack_codes(keys, 6), want)
-    assert np.array_equal(_unpack(want, 6, 9), keys)
+    r = Register(builtin_group("S3"), tuple(range(9)))
+    for c in range(9):
+        assert np.array_equal(r.digit(want, c), keys[:, c])
+
+
+def test_register_digit_arithmetic():
+    r = reg("S3", "a", "b", "c")
+    keys = np.indices((6, 6, 6)).reshape(3, -1).T
+    codes = pack_codes(keys, 6)
+    assert np.array_equal(codes, np.arange(216))
+    assert list(r.place) == [36, 6, 1]
+    # a block offset (a multiple of the dimension) leaves every digit alone
+    for offset in (0, 5 * r.dimension):
+        for c, site in enumerate("abc"):
+            assert np.array_equal(r.digit(codes + offset, site), keys[:, c])
+    # rewriting b's digit to 5 - b
+    new = codes + r.place_value("b", (5 - keys[:, 1]) - keys[:, 1])
+    assert np.array_equal(r.digit(new, "b"), 5 - keys[:, 1])
+    assert np.array_equal(r.digit(new, "a"), keys[:, 0])
+    # dropping a site gives the codes of the reduced register
+    for c, site in enumerate("abc"):
+        rest = np.delete(keys, c, axis=1)
+        assert np.array_equal(r.without(codes, site), pack_codes(rest, 6))
+    # the key rows are derived from the codes on demand
+    s = SparseState(r, codes[::-1], np.ones(216))
+    assert np.array_equal(s.codes, codes)
+    assert s.keys.dtype == np.int16 and np.array_equal(s.keys, keys)
+    # a digit past |G| - 1 would alias another code: refused, not read
+    with pytest.raises(ValueError):
+        SparseState.from_dict(r, {(0, 6, 0): 1.0})
+    assert s.amplitude((0, 6, 0)) == 0.0 and s.amplitude((1, 0, 0)) == 1.0
 
 
 def test_random_state_whole_basis_when_small():

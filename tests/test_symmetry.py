@@ -130,6 +130,25 @@ def test_odd_symmetry_composition_matches_group():
     assert fidelity(apply_u_odd(psi, g, 3), psi) == pytest.approx(1.0)
 
 
+def test_odd_symmetry_matches_digit_loop():
+    # every odd digit right-multiplied by x^-1, written out key by key
+    G = builtin_group("S3")
+    g = ring_graph(8)
+    reg = Register(G, g.vertex_ids)
+    chi = random_state(reg, np.random.default_rng(5), 40)
+    odd = [reg.axis(w) for w in g.odd_vertices]
+    for x in range(G.order):
+        want = {}
+        for key, amp in chi.items():
+            key = list(key)
+            for c in odd:
+                key[c] = int(G.table[key[c], G.inverse[x]])
+            want[tuple(key)] = amp
+        out = apply_u_odd(chi, g, x)
+        assert out.to_dict() == want
+        assert np.all(np.diff(out.codes) > 0)
+
+
 def _algebra_via_public_operators(g, G, rng, states):
     """verify_symmetry_algebra's residuals, taken with the public operators
     that validate the ring on every call."""
