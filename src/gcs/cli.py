@@ -39,6 +39,7 @@ from .measurement import measure, outcome_distribution
 from .peps import compare_to_circuit
 from .qdouble import (
     build_qd_lattice,
+    check_qd_dims,
     prepare_qd_with_measurement,
     random_plaquette_outcomes,
     sector_matched_fidelity,
@@ -143,8 +144,6 @@ def _emit(report: dict, args) -> int:
 
 
 def _cmd_group(args) -> dict:
-    if args.action != "validate" and args.action != "show":
-        raise InputError(f"unknown group action {args.action!r}")
     G, ghash = _load_group(args.group)
     if args.action == "show":
         return _assemble("group", {"group": ghash}, {}, [], None,
@@ -300,9 +299,11 @@ def _cmd_qdouble(args) -> dict:
     G, ghash = _load_group(args.group)
     dims = _parse_dims(args.dims)
     try:
-        lat = build_qd_lattice(*dims)
+        check_qd_dims(*dims)
     except ValueError as exc:
         raise InputError(str(exc))
+    check_width(G, 4 * dims[0] * dims[1])  # before the lattice is allocated
+    lat = build_qd_lattice(*dims)
     tol = args.tol if args.tol is not None else STABILIZER_TOL
     outcomes: dict = {}
     if args.random_outcomes:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Edge",
@@ -90,12 +90,6 @@ class ClusterGraph:
 
     def incident_edges(self, v: str) -> tuple[Edge, ...]:
         return self._incidence.get(v, ())
-
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        out = []
-        for e in self.incident_edges(v):
-            out.append(e.head if e.tail == v else e.tail)
-        return tuple(dict.fromkeys(out))
 
     def with_ordering(self, vertex: str, order: Sequence[str]) -> "ClusterGraph":
         new = dict(self.orderings)

@@ -59,9 +59,6 @@ class Irrep:
     dim: int
     matrices: np.ndarray
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -88,10 +85,6 @@ class FiniteGroup:
             )
 
     # --- Element algebra ---
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.table[a, b])

@@ -78,11 +78,6 @@ class PepsNetwork:
     legs: dict  # site -> tuple of edge ids (gate order at evens)
     senses: dict  # even site -> tuple of "out"/"in" per leg
 
-    def tensor(self, site) -> np.ndarray:
-        if self.graph.parity(site) == "odd":
-            return odd_tensor(self.group, len(self.legs[site]))
-        return even_tensor(self.group, self.senses[site])
-
 
 def build_peps(g: ClusterGraph, G: FiniteGroup) -> PepsNetwork:
     legs = {}

@@ -26,6 +26,7 @@ reading, cancelling inside it)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .states import (
 
 __all__ = [
     "QdLattice",
+    "check_qd_dims",
     "build_qd_lattice",
     "qd_cluster_graph",
     "qd_stabilizers",
@@ -100,29 +102,34 @@ class QdLattice:
     plaquettes: tuple
     stars: tuple
 
+    @cached_property
+    def _ids(self) -> tuple:
+        """One id -> item dict each for links, plaquettes and stars."""
+        return tuple({it.id: it for it in items}
+                     for items in (self.links, self.plaquettes, self.stars))
+
     def link(self, lid: str) -> QdLink:
-        return self._by_id(self.links, lid)
+        return self._ids[0][lid]
 
     def plaquette(self, pid: str) -> QdPlaquette:
-        return self._by_id(self.plaquettes, pid)
+        return self._ids[1][pid]
 
     def star(self, sid: str) -> QdStar:
-        return self._by_id(self.stars, sid)
-
-    @staticmethod
-    def _by_id(items, key):
-        for it in items:
-            if it.id == key:
-                return it
-        raise KeyError(key)
+        return self._ids[2][sid]
 
 
-def build_qd_lattice(l1: int, l2: int) -> QdLattice:
-    """Torus with alternating link orientations; both sides even and >= 2."""
+def check_qd_dims(l1: int, l2: int) -> None:
+    """Raise ValueError unless both torus sides are even and >= 2."""
     if l1 < 2 or l2 < 2 or l1 % 2 or l2 % 2:
         raise ValueError(
             f"the alternating torus needs even dimensions >= 2, got {l1}x{l2}"
         )
+
+
+def build_qd_lattice(l1: int, l2: int) -> QdLattice:
+    """Torus with alternating link orientations; both sides even and >= 2.
+    Its cluster graph has 4 * l1 * l2 sites."""
+    check_qd_dims(l1, l2)
     links = []
     for y in range(l2):
         for x in range(l1):
@@ -180,15 +187,13 @@ def qd_cluster_graph(lat: QdLattice) -> ClusterGraph:
     vertices = [(lk.id, "odd") for lk in lat.links]
     vertices += [(p.id, "even") for p in lat.plaquettes]
     vertices += [(s.id, "even") for s in lat.stars]
-    star_at = {(s.x, s.y): s.id for s in lat.stars}
     edges = []
     orderings = {}
     for s in lat.stars:
         order = []
         for slot in ("U", "L", "D", "R"):
             lid = s.slots[slot]
-            lk = lat.link(lid)
-            if lk.head == (s.x, s.y):
+            if s.inbound[slot]:
                 eid = f"in_{lid}"
                 edges.append(Edge(eid, s.id, lid))
             else:

@@ -4,7 +4,9 @@ A conditional monomial is a sum, over group-element assignments to some
 summation variables, of tensor products of site factors — projectors
 T(word), left/right multiplications Xl(word)/Xr(word), and diagonal
 representation weights Z(irrep, i, j) — times a global scalar.  Words are
-formal products of variables (possibly inverted) and constants.
+formal products of variables (possibly inverted) and constants.  Every
+summation variable is pinned by a leading projector, so a monomial maps each
+basis vector to at most one basis vector (a row map).
 
 Two independent derivation routes are provided for the cluster-state
 stabilizers: Heisenberg propagation of the initial product-state
@@ -18,13 +20,12 @@ FIRST (input side).  Printing shows operator order (last applied leftmost).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .builder import Gate, GateSchedule, schedule
+from .builder import GateSchedule
 from .graphs import ClusterGraph
 from .groups import FiniteGroup
 from .states import (
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 STABILIZER_TOL = 1e-10
-ENUM_CAP = 10**6
 
 
 class UnsupportedConjugation(ValueError):
@@ -82,66 +82,44 @@ def _mul(G: FiniteGroup, x, y):
 
 @dataclass(frozen=True)
 class Word:
-    """Formal left-to-right product of variables and constants."""
+    """Formal left-to-right product of letters ``(value, inverted)``: an
+    int value is a group element, a str value names a variable."""
 
     factors: tuple = ()
 
     @staticmethod
     def const(e: int) -> "Word":
-        return Word((("const", int(e)),))
+        return Word(((int(e), False),))
 
     @staticmethod
     def var(name: str, inverted: bool = False) -> "Word":
-        return Word((("var", name, inverted),))
+        return Word(((name, inverted),))
 
     def times(self, other: "Word") -> "Word":
         return Word(self.factors + other.factors)
 
     def inverse(self) -> "Word":
-        out = []
-        for f in reversed(self.factors):
-            if f[0] == "const":
-                out.append(("cinv", f[1]))
-            elif f[0] == "cinv":
-                out.append(("const", f[1]))
-            else:
-                out.append(("var", f[1], not f[2]))
-        return Word(tuple(out))
-
-    def variables(self) -> tuple[str, ...]:
-        seen = []
-        for f in self.factors:
-            if f[0] == "var" and f[1] not in seen:
-                seen.append(f[1])
-        return tuple(seen)
+        return Word(tuple((v, not inv) for v, inv in reversed(self.factors)))
 
     def evaluate(self, G: FiniteGroup, env: dict) -> np.ndarray | int:
         """Value under ``env`` mapping variable names to ints or int arrays."""
-        val: np.ndarray | int = 0
-        for f in self.factors:
-            if f[0] == "const":
-                val = G.table[val, f[1]]
-            elif f[0] == "cinv":
-                val = G.table[val, G.inverse[f[1]]]
-            else:
-                a = env[f[1]]
-                if f[2]:
-                    a = G.inverse[a]
-                val = _mul(G, val, a)
+        def letter(v, inv):
+            a = env[v] if isinstance(v, str) else v
+            return G.inverse[a] if inv else a
+
+        if not self.factors:
+            return 0
+        val = letter(*self.factors[0])
+        for f in self.factors[1:]:
+            val = _mul(G, val, letter(*f))
         return val
 
     def pretty(self, G: FiniteGroup) -> str:
         if not self.factors:
             return G.labels[0]
-        parts = []
-        for f in self.factors:
-            if f[0] == "const":
-                parts.append(G.labels[f[1]])
-            elif f[0] == "cinv":
-                parts.append(f"{G.labels[f[1]]}^-1")
-            else:
-                parts.append(f"{f[1]}^-1" if f[2] else f[1])
-        return " ".join(parts)
+        return " ".join(
+            (v if isinstance(v, str) else G.labels[v]) + ("^-1" if inv else "")
+            for v, inv in self.factors)
 
 
 def _conjugated(word: Word, var: str) -> Word:
@@ -188,12 +166,13 @@ class ConditionalMonomial:
     @cached_property
     def _plan(self):
         """How the action reads variables off a row; it depends on the
-        operator alone.  Returns (steps, free, implied): each step
-        (site, name, prefix, suffix, inverted) solves ``name`` from a
-        leading projector T(prefix name^{+-1} suffix) at ``site``; ``free``
-        lists the variables left to enumerate; ``implied`` holds the
+        operator alone.  Returns (steps, implied): each step (site, name,
+        prefix, suffix, inverted) solves ``name`` from a leading projector
+        T(prefix name^{+-1} suffix) at ``site``; ``implied`` holds the
         (site, factor index) of every projector a step solved from, which
-        holds on every row by construction."""
+        holds on every row by construction.  Every summation variable must
+        be solved so: the operator then maps each basis vector to at most
+        one basis vector, and a variable left free raises ``ValueError``."""
         steps, implied = [], set()
         unsolved = set(self.variables)
         progress = True
@@ -203,62 +182,58 @@ class ConditionalMonomial:
                 for i, f in enumerate(factors):
                     if f.kind != "T":
                         break  # digit expression changes; stop scanning here
-                    w = f.word
-                    hits = [
-                        (k, p)
-                        for k, p in enumerate(w.factors)
-                        if p[0] == "var" and p[1] in unsolved
-                    ]
+                    letters = f.word.factors
+                    hits = [k for k, (v, _) in enumerate(letters)
+                            if v in unsolved]
                     if len(hits) != 1:
                         continue
-                    others = {p[1] for p in w.factors if p[0] == "var"}
-                    if (others - {hits[0][1][1]}) & unsolved:
-                        continue
-                    k, (_, name, inverted) = hits[0]
-                    steps.append((site, name, Word(w.factors[:k]),
-                                  Word(w.factors[k + 1 :]), inverted))
+                    k = hits[0]
+                    name, inverted = letters[k]
+                    steps.append((site, name, Word(letters[:k]),
+                                  Word(letters[k + 1:]), inverted))
                     implied.add((site, i))
                     unsolved.discard(name)
                     progress = True
-        return tuple(steps), sorted(unsolved), frozenset(implied)
+        if unsolved:
+            raise ValueError(
+                "summation variables " + ", ".join(sorted(unsolved))
+                + " are not fixed by a leading projector")
+        return tuple(steps), frozenset(implied)
 
-    def _solve_variables(self, digits: dict) -> tuple[dict, list]:
-        """Per-row arrays for every variable solvable from leading projector
-        factors, given each operator site's row digits; remaining variables
-        are returned for enumeration."""
+    def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray):
+        """Linear action on raw rows of codes: (codes, amps, moved).
+
+        One pass: each operator site's digits are read once, every
+        summation variable is solved from them (``_plan``), and the factors
+        then filter, rephase and rewrite the rows, so each row maps to at
+        most one row.  Multiples of the register's dimension added to a code
+        (a block offset) pass through untouched.  The output rows are not
+        merged: when ``moved`` is True a digit was rewritten, so rows may
+        repeat or be out of order; otherwise they are a filtered, rephased
+        subset of the input rows in input order.
+        """
+        for site in self.sites:
+            if site not in register.sites:
+                raise KeyError(f"operator site {site!r} not in register")
+        steps, implied = self._plan
+        if len(codes) == 0:
+            return codes, amps, False
         G = self.group
+        digits = {site: register.digit(codes, site) for site in self.sites}
         env: dict = {}
-        steps, free, _ = self._plan
         for site, name, prefix, suffix, inverted in steps:
-            digit = digits[site]
-            a = prefix.evaluate(G, env)
-            b = suffix.evaluate(G, env)
-            if np.ndim(a) or np.ndim(b):
-                val = _mul(G, _mul(G, G.inverse[a], digit), G.inverse[b])
-                env[name] = G.inverse[val] if inverted else val
-                continue
-            # constant prefix and suffix: one lookup per row, none for T(name)
-            lut = G.table[G.table[G.inverse[a], np.arange(G.order)], G.inverse[b]]
-            if inverted:
-                lut = G.inverse[lut]
-            identity = np.array_equal(lut, np.arange(G.order))
-            env[name] = digit if identity else lut[digit]
-        return env, list(free)
-
-    def _act(self, register: Register, codes: np.ndarray, digits: dict,
-             amps: np.ndarray, env: dict):
-        """(codes, amps, moved): ``moved`` is False when no digit was
-        rewritten, in which case the surviving rows keep their input order
-        (a filtered/rephased subset of the input rows)."""
-        G = self.group
+            val = digits[site]
+            if prefix.factors:
+                val = _mul(G, G.inverse[prefix.evaluate(G, env)], val)
+            if suffix.factors:
+                val = _mul(G, val, G.inverse[suffix.evaluate(G, env)])
+            env[name] = G.inverse[val] if inverted else val
         out = codes
         if self.scalar != 1.0:
             amps = amps * self.scalar
         alive = None
-        implied = self._plan[2]
         for site, factors in self.sites.items():
             old = digit = digits[site]
-            rewritten = False
             for i, f in enumerate(factors):
                 if f.kind == "T":
                     if (site, i) in implied:
@@ -267,61 +242,19 @@ class ConditionalMonomial:
                     alive = mask if alive is None else alive & mask
                 elif f.kind == "XL":
                     digit = _mul(G, f.word.evaluate(G, env), digit)
-                    rewritten = True
                 elif f.kind == "XR":
                     digit = _mul(G, digit, G.inverse[f.word.evaluate(G, env)])
-                    rewritten = True
                 elif f.kind == "Z":
                     mats = G.irrep(f.irrep_label).matrices
                     amps = amps * mats[digit, f.i, f.j]
                 else:  # pragma: no cover
                     raise ValueError(f"unknown factor kind {f.kind}")
-            if rewritten:
+            if digit is not old:
                 out = out + register.place_value(site, digit - old)
         moved = out is not codes
         if alive is None:
             return out, amps, moved
         return out[alive], amps[alive], moved
-
-    def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray,
-                 states: int = 1):
-        """Linear action on raw rows of codes: (codes, amps, moved).
-
-        Variables fixed by leading projectors are read off each row (cost
-        proportional to the number of rows); any remainder is enumerated
-        exhaustively, within a budget that counts ``states`` equal blocks
-        of stacked rows one block at a time.  Multiples of the register's
-        dimension added to a code (a block offset) pass through untouched.
-        The output rows are not merged: when ``moved`` is True a digit was
-        rewritten or variables were enumerated, so rows may repeat or be
-        out of order; otherwise they are a filtered, rephased subset of the
-        input rows in input order.
-        """
-        for site in self.sites:
-            if site not in register.sites:
-                raise KeyError(f"operator site {site!r} not in register")
-        if len(codes) == 0:
-            return codes, amps, False
-        # each operator site's digits, read once per call
-        digits = {site: register.digit(codes, site) for site in self.sites}
-        env, free = self._solve_variables(digits)
-        if not free:
-            return self._act(register, codes, digits, amps, env)
-        n = self.group.order
-        per_state = len(codes) // states
-        if n ** len(free) * per_state > ENUM_CAP * 10:
-            raise RuntimeError(
-                f"enumerating {len(free)} free variables over {per_state} keys "
-                "exceeds the evaluation budget"
-            )
-        parts_c, parts_a = [], []
-        for combo in itertools.product(range(n), repeat=len(free)):
-            env2 = dict(env)
-            env2.update(zip(free, combo))
-            c, a, _ = self._act(register, codes, digits, amps, env2)
-            parts_c.append(c)
-            parts_a.append(a)
-        return np.concatenate(parts_c), np.concatenate(parts_a), True
 
     def apply(self, state: SparseState) -> SparseState:
         """Linear action on a state (see ``act_rows``)."""
@@ -495,39 +428,27 @@ def conjugate_by_cmult(op: ConditionalMonomial, control, target, sense: str,
     return ConditionalMonomial(op.group, tuple(new_vars), sites, op.scalar)
 
 
-def _schedule_adjacency(sched: GateSchedule) -> dict:
-    adj: dict = {}
-    for gate in sched:
-        adj.setdefault(gate.control, set()).add(gate.target)
-        adj.setdefault(gate.target, set()).add(gate.control)
-    return adj
-
-
-def _support_bound(origin, adj: dict) -> set:
-    near = adj.get(origin, set())
-    bound = {origin} | near
-    for v in near:
-        bound |= adj.get(v, set())
-    return bound
-
-
-def propagate(sched: GateSchedule, init: StabilizerSet,
-              enforce_support: bool = True) -> StabilizerSet:
+def propagate(sched: GateSchedule, init: StabilizerSet) -> StabilizerSet:
     """Conjugate every initial stabilizer through the whole circuit.
 
     The result of propagating a one-site initial stabilizer is guaranteed
     to touch at most the origin site, its neighbours and its next-nearest
     neighbours; exceeding that bound raises (it would signal a broken rule
     table)."""
+    adj: dict = {}
+    for gate in sched:
+        adj.setdefault(gate.control, set()).add(gate.target)
+        adj.setdefault(gate.target, set()).add(gate.control)
     out = []
     for label, op in init.entries:
-        origin = op.support()[0] if op.support() else None
         cur = op
         for gate in sched:
             cur = conjugate_by_cmult(cur, gate.control, gate.target, gate.sense,
                                      tag=f"{gate.control}@{gate.edge}")
-        if enforce_support and origin is not None:
-            bound = _support_bound(origin, _schedule_adjacency(sched))
+        if op.sites:
+            origin = op.support()[0]
+            near = adj.get(origin, set())
+            bound = {origin}.union(near, *(adj[v] for v in near))
             extra = set(cur.support()) - bound
             if extra:
                 raise SupportBoundExceeded(
@@ -675,70 +596,60 @@ class VerifyReport:
 
 def verify(stabs: StabilizerSet, state: SparseState,
            tol: float = STABILIZER_TOL) -> VerifyReport:
-    """Max over stabilizers of |S psi - psi| / |psi|.
-
-    Each residual is taken from the operator's raw output codes, merged,
-    against the state's sorted codes."""
+    """Max over stabilizers of |S psi - psi| / |psi|."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    residuals = {}
-    for label, op in stabs:
-        codes, amps, _ = op.act_rows(state.register, state.codes, state.amps)
-        codes, amps = merge_codes(codes, amps)
-        sq = code_residuals(codes, amps, state.codes, state.amps)[1]
-        residuals[label] = float(np.sqrt(np.sum(sq))) / norm
-    return VerifyReport(residuals, tol)
+    return VerifyReport({label: residual_norm(op.apply(state), state) / norm
+                         for label, op in stabs}, tol)
+
+
+def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
+                       register: Register, codes: np.ndarray,
+                       amps: np.ndarray) -> float:
+    """Max over the states psi_i (row i of the 2-D ``codes``/``amps``) of
+    ||a psi_i - b psi_i||.  The states are stacked in blocks, state i's
+    codes offset by i * |G|^width, which no digit read or rewrite touches,
+    each block holding as many states as keep the codes below 2**62; each
+    operator acts once per block, and the per-state sums come from
+    canonicalizing the offset codes."""
+    dim = register.dimension
+    per_block = (2**62 - 1) // dim
+    worst = 0.0
+    for lo in range(0, len(codes), per_block):
+        block = codes[lo:lo + per_block]
+        stacked = (block + dim * np.arange(len(block))[:, None]).ravel()
+        rows = amps[lo:lo + per_block].ravel()
+        c, sq = code_residuals(
+            *merge_codes(*a.act_rows(register, stacked, rows)[:2]),
+            *merge_codes(*b.act_rows(register, stacked, rows)[:2]))
+        sq = np.bincount(c // dim, weights=sq, minlength=len(block))
+        worst = max(worst, float(np.sqrt(sq.max())))
+    return worst
 
 
 def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
-                             register: Register, tol: float = STABILIZER_TOL) -> float:
+                             register: Register) -> float:
     """Max action deviation over every basis key of the joint support
     (other sites pinned to the identity element)."""
     support = sorted(set(a.support()) | set(b.support()), key=str)
     n = register.group.order
     if n ** len(support) > 4096:
         raise ValueError("support too large for exhaustive basis comparison")
-    axes = [register.axis(s) for s in support]
-    worst = 0.0
-    for combo in itertools.product(range(n), repeat=len(support)):
-        key = [0] * register.width
-        for ax, val in zip(axes, combo):
-            key[ax] = val
-        basis = SparseState.from_dict(register, {tuple(key): 1.0})
-        worst = max(worst, residual_norm(a.apply(basis), b.apply(basis)))
-    return worst
-
-
-def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
-                       register: Register, psis: list) -> np.ndarray:
-    """||a psi - b psi||^2 for each psi in ``psis``.  The states are stacked
-    into one block of rows, state i's codes offset by i * |G|^width, which
-    no digit read or rewrite touches, so each operator acts once; the
-    per-state sums come from canonicalizing the offset codes."""
-    dim = register.dimension
-    codes = np.concatenate([p.codes + i * dim for i, p in enumerate(psis)])
-    amps = np.concatenate([p.amps for p in psis])
-
-    def rows(op):
-        c, am, _ = op.act_rows(register, codes, amps, states=len(psis))
-        return merge_codes(c, am)
-
-    codes, sq = code_residuals(*rows(a), *rows(b))
-    return np.bincount(codes // dim, weights=sq, minlength=len(psis))
+    digits = np.indices((n,) * len(support)).reshape(len(support), n ** len(support))
+    codes = sum((register.place_value(s, d) for s, d in zip(support, digits)),
+                np.zeros(digits.shape[1], dtype=np.int64))
+    return _stacked_residuals(a, b, register, codes[:, None],
+                              np.ones((len(codes), 1), dtype=complex))
 
 
 def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonomial,
                                      register: Register, rng: np.random.Generator,
                                      states: int = 50, keys_per_state: int = 200) -> float:
-    """Max over ``states`` seeded random states psi of ||a psi - b psi||.
-
-    The states are compared in blocks (``_stacked_residuals``), each
-    holding as many states as keep the batched codes below 2**62."""
+    """Max over ``states`` seeded random states psi of ||a psi - b psi||."""
     psis = random_states(register, rng, states, keys_per_state)
-    per_block = (2**62 - 1) // register.dimension
-    worst = 0.0
-    for lo in range(0, len(psis), per_block):
-        sq = _stacked_residuals(a, b, register, psis[lo:lo + per_block])
-        worst = max(worst, float(np.sqrt(sq.max())))
-    return worst
+    if not psis:
+        return 0.0
+    return _stacked_residuals(a, b, register,
+                              np.stack([p.codes for p in psis]),
+                              np.stack([p.amps for p in psis]))

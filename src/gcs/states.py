@@ -138,7 +138,8 @@ class SparseState:
     """Immutable sparse state vector: ``codes`` is (m,) int64, the sorted,
     unique basis-vector codes of the register; ``amps`` is (m,) complex128.
     The constructor merges and sorts its rows unless ``canonical`` says
-    they already are."""
+    they already are sorted and unique; either way it prunes amplitudes
+    below PRUNE_TOL."""
 
     __slots__ = ("register", "codes", "amps")
 
@@ -148,8 +149,8 @@ class SparseState:
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if codes.shape[0] != amps.shape[0]:
             raise ValueError("codes/amps length mismatch")
-        if not canonical:
-            codes, amps = merge_codes(codes, amps)
+        codes, amps = (_prune(codes, amps) if canonical
+                       else merge_codes(codes, amps))
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "amps", amps)
@@ -212,7 +213,7 @@ class SparseState:
 
     def scaled(self, c: complex) -> "SparseState":
         return SparseState(self.register, self.codes, self.amps * c,
-                           canonical=abs(c) > 0)
+                           canonical=True)
 
     def add(self, other: "SparseState") -> "SparseState":
         _check_same_register(self, other)
@@ -260,7 +261,14 @@ def merge_codes(codes: np.ndarray, amps: np.ndarray):
     if not boundary.all():  # sum each run of equal codes
         starts = np.flatnonzero(boundary)
         codes, amps = codes[starts], np.add.reduceat(amps, starts)
+    return _prune(codes, amps)
+
+
+def _prune(codes: np.ndarray, amps: np.ndarray):
+    """The rows whose amplitude exceeds PRUNE_TOL in magnitude."""
     keep = np.abs(amps) > PRUNE_TOL
+    if keep.all():
+        return codes, amps
     return codes[keep], amps[keep]
 
 

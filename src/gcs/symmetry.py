@@ -107,7 +107,7 @@ def _u_even(state: SparseState, cycle, rep: Irrep,
     if normalized:
         coeff = coeff / rep.dim
     # the codes keep their order; the constructor only prunes zero weights
-    return SparseState(reg, state.codes, state.amps * coeff)
+    return SparseState(reg, state.codes, state.amps * coeff, canonical=True)
 
 
 def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,

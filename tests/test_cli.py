@@ -345,6 +345,23 @@ def test_qdouble_rejects_odd_dims():
     assert run(["qdouble", "--group", "Z2", "--dims", "2"]) == 2
 
 
+@pytest.mark.parametrize("dims,says", [
+    ("200x200", "62-bit"),  # 160,000 cluster sites
+    ("2000000x2000000", "62-bit"),
+    ("3x2000000", "even dimensions"),  # the dims are checked first
+])
+def test_qdouble_past_the_width_limit_is_input_error(capsys, monkeypatch,
+                                                     dims, says):
+    def no_lattice(l1, l2):
+        raise AssertionError("the lattice was allocated")
+
+    monkeypatch.setattr(cli, "build_qd_lattice", no_lattice)
+    assert run(["qdouble", "--group", "Z2", "--dims", dims]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
+
+
 # --- corpus ---
 
 

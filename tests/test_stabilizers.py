@@ -9,18 +9,23 @@ both must fix the states the circuit builder produces.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 from gcs.builder import build_cluster_state, schedule
+from gcs.corpus import corpus_pairs
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
 from gcs.groups import builtin_group
+from gcs.qdouble import (
+    build_qd_lattice,
+    dressed_star,
+    qd_stabilizers,
+    random_plaquette_outcomes,
+    shifted_plaquette,
+)
 from gcs.stabilizers import (
     ConditionalMonomial,
     Factor,
-    StabilizerSet,
     UnsupportedConjugation,
     Word,
     closed_form_even,
@@ -176,23 +181,58 @@ def test_apply_solves_chained_variables_without_enumeration():
         "b": [Factor("T", Word.var("x").times(Word.var("y")))],
         "c": [Factor("XL", Word.var("y"))],
     })
-    psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0})
-    env, free = op._solve_variables(
-        {s: reg.digit(psi.codes, s) for s in op.sites})
-    assert not free
-    y = G.table[G.inverse[2], 4]
+    psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0, (2, 5, 0): 0.5})
     out = op.apply(psi)
-    assert out.to_dict() == {(2, 4, G.table[y, 1]): 1.0}
+    y, y2 = G.table[G.inverse[2], 4], G.table[G.inverse[2], 5]
+    assert out.to_dict() == {(2, 4, G.table[y, 1]): 1.0,
+                             (2, 5, G.table[y2, 0]): 0.5}
 
 
-def test_apply_enumerates_unsolvable_variables():
+def test_apply_rejects_an_unfixed_variable():
     G = builtin_group("Z3")
-    reg = Register(G, ("a",))
-    # sum[x] Xl(x)@a with no projector anywhere: 3 shifted copies
-    op = mono(G, ("x",), {"a": [Factor("XL", Word.var("x"))]})
-    psi = group_basis_state(reg, (1,))
-    out = op.apply(psi)
-    assert out.to_dict() == {(0,): 1.0, (1,): 1.0, (2,): 1.0}
+    reg = Register(G, ("a", "b"))
+    # sum[x,y] T(y)@b Xl(x)@a: no leading projector fixes x
+    op = mono(G, ("x", "y"), {"a": [Factor("XL", Word.var("x"))],
+                              "b": [Factor("T", Word.var("y"))]})
+    # a projector after the multiplication does not fix it either
+    late = mono(G, ("x",), {"a": [Factor("XL", Word.const(1)),
+                                  Factor("T", Word.var("x"))]})
+    for psi in (group_basis_state(reg, (1, 0)), SparseState.zero(reg)):
+        for bad in (op, late):
+            with pytest.raises(ValueError,
+                               match="summation variables x are not fixed"):
+                bad.apply(psi)
+
+
+def test_every_derived_operator_is_a_row_map():
+    # each summation variable of every operator the package derives is
+    # fixed by a leading projector, so each one applies without error
+    for entry, gname in corpus_pairs():
+        G, g = builtin_group(gname), entry.graph
+        zero = SparseState.zero(Register(G, g.vertex_ids))
+        families = [closed_form_stabilizers(g, G),
+                    propagate(schedule(g),
+                              initial_stabilizers(g, G, include_right=True))]
+        if G.order == 2:
+            families.append(css_stabilizers(g, G))
+        for stabs in families:
+            for label, op in stabs:
+                assert len(op.apply(zero)) == 0, (entry.name, gname, label)
+    rng = np.random.default_rng(4)
+    for gname in ("Z2", "Z3", "S3", "Q8"):
+        G = builtin_group(gname)
+        for dims in ((2, 2), (2, 4)):
+            lat = build_qd_lattice(*dims)
+            zero = SparseState.zero(Register(G, tuple(lk.id for lk in lat.links)))
+            outcomes = random_plaquette_outcomes(lat, G, rng)
+            ops = [op for _, op in qd_stabilizers(lat, G)]
+            ops += [shifted_plaquette(lat, G, pid, m)
+                    for pid, m in outcomes.items()]
+            dressed = [dressed_star(lat, G, s.id, x, outcomes)
+                       for s in lat.stars for x in range(G.order)]
+            ops += [op for op in dressed if op is not None]
+            for op in ops:
+                assert len(op.apply(zero)) == 0, op.pretty()
 
 
 def test_apply_scalar_and_missing_site_error():
@@ -376,11 +416,6 @@ def _route_loop(a, b, reg, seed, states, keys):
     return [residual_norm(a.apply(p), b.apply(p)) for p in psis], psis
 
 
-def _summed_shift(G):
-    # sum[x] Xl(x) at o0: a free variable, so the action enumerates it
-    return mono(G, ("x",), {"o0": [Factor("XL", Word.var("x"))]})
-
-
 def _on_general_small(pair):
     G, g = builtin_group("S3"), general_small()
     return (Register(G, g.vertex_ids), *pair(G, g))
@@ -398,8 +433,6 @@ def _z2_line61():
                                             closed_form_odd(g, G, "o0", 2))),
     lambda: _on_general_small(lambda G, g: (closed_form_even(g, G, "e1"),
                                             closed_form_odd(g, G, "o1", 3))),
-    lambda: _on_general_small(lambda G, g: (_summed_shift(G),
-                                            closed_form_odd(g, G, "o0", 1))),
     _z2_line61,
 ])
 def test_batched_route_check_matches_per_state_loop(case):
@@ -409,6 +442,19 @@ def test_batched_route_check_matches_per_state_loop(case):
         a, b, reg, np.random.default_rng(5), states=5, keys_per_state=64)
     assert batched == pytest.approx(max(loop), rel=1e-12)
     assert batched > 0.1
+
+
+def test_basis_check_matches_per_key_loop():
+    G, g = builtin_group("S3"), line_graph(3, "eoe")
+    reg = Register(G, g.vertex_ids)
+    a, b = closed_form_even(g, G, "0"), closed_form_odd(g, G, "1", 3)
+    loop = [residual_norm(a.apply(p), b.apply(p))
+            for p in (group_basis_state(reg, key)
+                      for key in np.ndindex(*(G.order,) * reg.width))]
+    assert operators_agree_on_basis(a, b, reg) == pytest.approx(max(loop),
+                                                                rel=1e-12)
+    assert max(loop) > 1
+    assert operators_agree_on_basis(a, a, reg) == 0.0
 
 
 def test_batched_route_check_catches_a_one_state_mismatch():

@@ -462,3 +462,15 @@ def test_states_are_value_like():
     assert s.to_dict() == before
     with pytest.raises(AttributeError):
         s.amps = None
+
+
+def test_canonical_states_prune_zero_amplitudes():
+    G = builtin_group("S3")
+    r = Register(G, ("a",))
+    psi = SparseState.from_dict(r, {(0,): 1.0, (3,): 1.0})
+    # Z[std,0,1] vanishes on both keys and rewrites no digit
+    out = act(psi, "a", z(G.irrep("std"), 0, 1))
+    assert len(out) == 0 and out.norm() == 0
+    assert len(psi.scaled(1e-20)) == 0
+    kept = SparseState(r, [0, 3], [0.5, 1e-15], canonical=True)
+    assert kept.to_dict() == {(0,): 0.5}
