@@ -263,12 +263,11 @@ def _cmd_symmetry(args) -> dict:
     tol = args.tol if args.tol is not None else STABILIZER_TOL
     rng = np.random.default_rng(args.seed)
     try:
-        result = verify_symmetry_algebra(g, G, rng=rng, states=args.states,
-                                         tol=tol)
+        residuals = verify_symmetry_algebra(g, G, rng=rng, states=args.states)
     except ValueError as exc:
         raise InputError(str(exc))
     checks = [_check(name, residual, tol)
-              for name, residual in sorted(result["checks"].items())]
+              for name, residual in sorted(residuals.items())]
     return _assemble("symmetry", {"group": ghash, "graph": fhash},
                      {"residual": tol}, checks, args.seed,
                      extra={"states": args.states})
@@ -318,9 +317,8 @@ def _cmd_qdouble(args) -> dict:
         psi, stabs = prepare_qd_with_measurement(lat, G, outcomes)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc))
-    rep = verify(stabs, psi, tol=tol)
     checks = [_check(label, residual, tol)
-              for label, residual in rep.residuals.items()]
+              for label, residual in verify(stabs, psi).items()]
     extra = {
         "dims": list(dims),
         "links": len(lat.links),

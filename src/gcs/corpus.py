@@ -176,15 +176,14 @@ def stabilizer_residuals(g: ClusterGraph, G: FiniteGroup, psi: SparseState,
     states (``routes_states=0`` skips that check and leaves it empty)."""
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
-    out = {"closed": verify(closed, psi).residuals,
-           "propagated": verify(propagated, psi).residuals,
+    out = {"closed": verify(closed, psi),
+           "propagated": verify(propagated, psi),
            "routes": {}}
     if routes_states:
-        by_label = dict(propagated)
-        for lab, op in closed:
+        for lab, op in closed.items():
             rng = np.random.default_rng(derive_seed(seed, g.name, G.name, lab))
             out["routes"][lab] = operators_agree_on_random_states(
-                op, by_label[lab], psi.register, rng,
+                op, propagated[lab], psi.register, rng,
                 states=routes_states, keys_per_state=64,
             )
     return out

@@ -513,7 +513,7 @@ def _check_shape(obj) -> None:
             "irrep 'matrices' must hold one list of [re, im] pairs per element")
 
 
-def group_from_json(obj: dict, validate: bool = True, tol: float = ALGEBRA_TOL) -> FiniteGroup:
+def group_from_json(obj: dict, validate: bool = True) -> FiniteGroup:
     _check_shape(obj)
     n = int(obj["order"])
     # bound the sizes before any array is built from them
@@ -541,10 +541,10 @@ def group_from_json(obj: dict, validate: bool = True, tol: float = ALGEBRA_TOL) 
     )
     if validate:
         rep = validate_group(G)
-        if not rep.passed(tol):
+        if not rep.passed():
             raise ValueError(f"group {G.name} failed validation: {rep.violations}")
         rep = validate_irreps(G)
-        if not rep.passed(tol):
+        if not rep.passed():
             raise ValueError(
                 f"group {G.name} irreps failed validation: "
                 f"{rep.violations or rep.residuals}"

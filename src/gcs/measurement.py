@@ -63,18 +63,11 @@ def outcome_distribution(state: SparseState, site, basis: str = "group"):
     if n2 == 0:
         raise ValueError("zero-norm state has no outcome distribution")
     U = basis_matrix_to_rep(G)
-    reg = state.register
-    digit = reg.digit(state.codes, site)
-    rest = reg.without(state.codes, site)
-    reduced = reg.drop(site)
-    out = []
-    for r, outcome in enumerate(rep_basis_order(G)):
-        # branch amplitude <outcome|digit> per key; merging duplicate
-        # remainder codes before the norm accounts for interference
-        overlap = state.amps * U[r, digit]
-        merged = SparseState(reduced, rest, overlap)
-        out.append((outcome, float(merged.norm() ** 2 / n2)))
-    return out
+    # each outcome's branch as ``_branch`` projects it: the merge of equal
+    # remainder codes before the norm accounts for interference
+    return [(outcome,
+             float(project_site(state, site, np.conj(U[r])).norm() ** 2 / n2))
+            for r, outcome in enumerate(rep_basis_order(G))]
 
 
 def _branch(state: SparseState, site, basis: str, outcome) -> SparseState:

@@ -33,7 +33,7 @@ import numpy as np
 from .builder import build_cluster_state
 from .graphs import ClusterGraph, Edge, build_graph
 from .groups import FiniteGroup, centralizer, conjugacy_classes
-from .stabilizers import ConditionalMonomial, Factor, StabilizerSet, Word
+from .stabilizers import ConditionalMonomial, Factor, Word
 from .states import (
     Register,
     SparseState,
@@ -249,16 +249,12 @@ def shifted_plaquette(lat: QdLattice, G: FiniteGroup, pid: str,
     return ConditionalMonomial(G, tuple(names), sites, 1.0)
 
 
-def qd_stabilizers(lat: QdLattice, G: FiniteGroup) -> StabilizerSet:
-    entries = []
-    for s in lat.stars:
-        for g in range(G.order):
-            entries.append(
-                (f"A[{s.id},{G.labels[g]}]", star_operator(lat, G, s.id, g))
-            )
+def qd_stabilizers(lat: QdLattice, G: FiniteGroup) -> dict:
+    stabs = {f"A[{s.id},{G.labels[g]}]": star_operator(lat, G, s.id, g)
+             for s in lat.stars for g in range(G.order)}
     for p in lat.plaquettes:
-        entries.append((f"B[{p.id}]", shifted_plaquette(lat, G, p.id, 0)))
-    return StabilizerSet(tuple(entries))
+        stabs[f"B[{p.id}]"] = shifted_plaquette(lat, G, p.id, 0)
+    return stabs
 
 
 # --- Measured-variant star dressing ---
@@ -357,9 +353,9 @@ def prepare_qd_with_measurement(lat: QdLattice, G: FiniteGroup,
     """Project the cluster state with the given plaquette outcomes (labels
     or indices; missing plaquettes default to the identity).
 
-    Returns (normalized link state, stabilizer set): shifted plaquette
-    projectors for every plaquette plus every dressed star element whose
-    quadrant walk closes."""
+    Returns (normalized link state, stabilizers by label): shifted
+    plaquette projectors for every plaquette plus every dressed star
+    element whose quadrant walk closes."""
     outcomes = dict(outcomes or {})
     fixed = {}
     for p in lat.plaquettes:
@@ -378,18 +374,15 @@ def prepare_qd_with_measurement(lat: QdLattice, G: FiniteGroup,
     if psi.norm() < 1e-12:
         raise ValueError("the requested plaquette outcomes are inconsistent "
                          "(projection annihilated the state)")
-    entries = []
-    for p in lat.plaquettes:
-        m = fixed[p.id]
-        entries.append(
-            (f"B[{p.id}|m={G.labels[m]}]", shifted_plaquette(lat, G, p.id, m))
-        )
+    stabs = {f"B[{p.id}|m={G.labels[fixed[p.id]]}]":
+             shifted_plaquette(lat, G, p.id, fixed[p.id])
+             for p in lat.plaquettes}
     for s in lat.stars:
         for x in range(G.order):
             op = dressed_star(lat, G, s.id, x, fixed)
             if op is not None:
-                entries.append((f"A[{s.id},{G.labels[x]}|dressed]", op))
-    return psi.normalized(), StabilizerSet(tuple(entries))
+                stabs[f"A[{s.id},{G.labels[x]}|dressed]"] = op
+    return psi.normalized(), stabs
 
 
 def random_plaquette_outcomes(lat: QdLattice, G: FiniteGroup,

@@ -41,8 +41,6 @@ __all__ = [
     "Word",
     "Factor",
     "ConditionalMonomial",
-    "StabilizerSet",
-    "VerifyReport",
     "initial_stabilizers",
     "conjugate_by_cmult",
     "propagate",
@@ -71,13 +69,8 @@ class SupportBoundExceeded(RuntimeError):
 
 def _mul(G: FiniteGroup, x, y):
     """Group product x*y of element indices, either of them a per-row
-    array.  Two arrays gather from the flattened table, which is much
-    cheaper than a two-index gather, when the flat index fits int16."""
-    if (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
-            and G.order ** 2 <= np.iinfo(np.int16).max + 1):
-        flat = x.astype(np.int16, copy=False) * np.int16(G.order) + y
-        return np.take(G.table.ravel(), flat)
-    return G.table[x, y]
+    array: one gather from the flattened table, at every group order."""
+    return G.table.ravel()[np.multiply(x, G.order, dtype=np.int64) + y]
 
 
 @dataclass(frozen=True)
@@ -141,12 +134,6 @@ class Factor:
     i: int = 0
     j: int = 0
 
-    def pretty(self, G: FiniteGroup) -> str:
-        if self.kind == "Z":
-            return f"Z[{self.irrep_label},{self.i},{self.j}]"
-        name = {"T": "T", "XL": "Xl", "XR": "Xr"}[self.kind]
-        return f"{name}({self.word.pretty(G)})"
-
 
 @dataclass(frozen=True)
 class ConditionalMonomial:
@@ -201,23 +188,22 @@ class ConditionalMonomial:
         return tuple(steps), frozenset(implied)
 
     def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray):
-        """Linear action on raw rows of codes: (codes, amps, moved).
+        """Linear action on raw rows of codes: (codes, amps).
 
         One pass: each operator site's digits are read once, every
         summation variable is solved from them (``_plan``), and the factors
         then filter, rephase and rewrite the rows, so each row maps to at
         most one row.  Multiples of the register's dimension added to a code
         (a block offset) pass through untouched.  The output rows are not
-        merged: when ``moved`` is True a digit was rewritten, so rows may
-        repeat or be out of order; otherwise they are a filtered, rephased
-        subset of the input rows in input order.
+        merged: a rewritten digit may leave them repeated or out of order
+        (``merge_codes`` restores the canonical form).
         """
         for site in self.sites:
             if site not in register.sites:
                 raise KeyError(f"operator site {site!r} not in register")
         steps, implied = self._plan
         if len(codes) == 0:
-            return codes, amps, False
+            return codes, amps
         G = self.group
         digits = {site: register.digit(codes, site) for site in self.sites}
         env: dict = {}
@@ -251,15 +237,14 @@ class ConditionalMonomial:
                     raise ValueError(f"unknown factor kind {f.kind}")
             if digit is not old:
                 out = out + register.place_value(site, digit - old)
-        moved = out is not codes
         if alive is None:
-            return out, amps, moved
-        return out[alive], amps[alive], moved
+            return out, amps
+        return out[alive], amps[alive]
 
     def apply(self, state: SparseState) -> SparseState:
         """Linear action on a state (see ``act_rows``)."""
-        codes, amps, moved = self.act_rows(state.register, state.codes, state.amps)
-        return SparseState(state.register, codes, amps, canonical=not moved)
+        return SparseState(state.register,
+                           *self.act_rows(state.register, state.codes, state.amps))
 
     # --- Printing ---
 
@@ -285,50 +270,25 @@ def _monomial(G: FiniteGroup, variables, site_factors, scalar=1.0) -> Conditiona
     return ConditionalMonomial(G, tuple(variables), sites, scalar)
 
 
-# --- Stabilizer sets ---
-
-
-@dataclass(frozen=True)
-class StabilizerSet:
-    entries: tuple  # of (label: str, ConditionalMonomial)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.entries)
-
-    def get(self, label: str) -> ConditionalMonomial:
-        for lab, op in self.entries:
-            if lab == label:
-                return op
-        raise KeyError(label)
+# --- Stabilizer sets: dicts from label to ConditionalMonomial ---
 
 
 def initial_stabilizers(g: ClusterGraph, G: FiniteGroup,
-                        include_right: bool = False) -> StabilizerSet:
+                        include_right: bool = False) -> dict:
     """Product-state stabilizers before any gate: the identity projector on
     each even site, and every left multiplication on each odd site (the
     right-multiplication family is redundant and off by default)."""
-    entries = []
+    stabs = {}
     for v in g.even_vertices:
-        entries.append((f"even[{v}]", _monomial(G, (), {v: [Factor("T", Word.const(0))]})))
+        stabs[f"even[{v}]"] = _monomial(G, (), {v: [Factor("T", Word.const(0))]})
     for w in g.odd_vertices:
         for x in range(G.order):
-            entries.append(
-                (f"odd[{w},{G.labels[x]}]",
-                 _monomial(G, (), {w: [Factor("XL", Word.const(x))]}))
-            )
+            stabs[f"odd[{w},{G.labels[x]}]"] = _monomial(
+                G, (), {w: [Factor("XL", Word.const(x))]})
             if include_right:
-                entries.append(
-                    (f"odd-right[{w},{G.labels[x]}]",
-                     _monomial(G, (), {w: [Factor("XR", Word.const(x))]}))
-                )
-    return StabilizerSet(tuple(entries))
+                stabs[f"odd-right[{w},{G.labels[x]}]"] = _monomial(
+                    G, (), {w: [Factor("XR", Word.const(x))]})
+    return stabs
 
 
 # --- Gate conjugation (Heisenberg picture) ---
@@ -428,7 +388,7 @@ def conjugate_by_cmult(op: ConditionalMonomial, control, target, sense: str,
     return ConditionalMonomial(op.group, tuple(new_vars), sites, op.scalar)
 
 
-def propagate(sched: GateSchedule, init: StabilizerSet) -> StabilizerSet:
+def propagate(sched: GateSchedule, init: dict) -> dict:
     """Conjugate every initial stabilizer through the whole circuit.
 
     The result of propagating a one-site initial stabilizer is guaranteed
@@ -439,8 +399,8 @@ def propagate(sched: GateSchedule, init: StabilizerSet) -> StabilizerSet:
     for gate in sched:
         adj.setdefault(gate.control, set()).add(gate.target)
         adj.setdefault(gate.target, set()).add(gate.control)
-    out = []
-    for label, op in init.entries:
+    out = {}
+    for label, op in init.items():
         cur = op
         for gate in sched:
             cur = conjugate_by_cmult(cur, gate.control, gate.target, gate.sense,
@@ -454,8 +414,8 @@ def propagate(sched: GateSchedule, init: StabilizerSet) -> StabilizerSet:
                 raise SupportBoundExceeded(
                     f"stabilizer {label} spread to {sorted(map(str, extra))}"
                 )
-        out.append((label, cur))
-    return StabilizerSet(tuple(out))
+        out[label] = cur
+    return out
 
 
 # --- Closed forms ---
@@ -537,71 +497,47 @@ def closed_form_odd(g: ClusterGraph, G: FiniteGroup, w: str, x: int) -> Conditio
     return _monomial(G, variables, site_factors)
 
 
-def closed_form_stabilizers(g: ClusterGraph, G: FiniteGroup) -> StabilizerSet:
-    entries = []
-    for v in g.even_vertices:
-        entries.append((f"even[{v}]", closed_form_even(g, G, v)))
+def closed_form_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
+    stabs = {f"even[{v}]": closed_form_even(g, G, v) for v in g.even_vertices}
     for w in g.odd_vertices:
         for x in range(G.order):
-            entries.append((f"odd[{w},{G.labels[x]}]", closed_form_odd(g, G, w, x)))
-    return StabilizerSet(tuple(entries))
+            stabs[f"odd[{w},{G.labels[x]}]"] = closed_form_odd(g, G, w, x)
+    return stabs
 
 
-def css_stabilizers(g: ClusterGraph, G: FiniteGroup) -> StabilizerSet:
+def css_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
     """Order-2 groups only: the multiplication/representation-split forms —
     a sign-representation Z on an even site and each of its neighbours, an
     X on an odd site and each of its neighbours."""
     if G.order != 2:
         raise ValueError("the split stabilizer forms require an order-2 group")
     sign = G.irreps[1].label
-    entries = []
+    stabs = {}
     for v in g.even_vertices:
         sites = {v: [Factor("Z", irrep_label=sign)]}
         for e in g.incident_edges(v):
             other = e.head if e.tail == v else e.tail
             sites.setdefault(other, []).append(Factor("Z", irrep_label=sign))
-        entries.append((f"css-even[{v}]", _monomial(G, (), sites)))
+        stabs[f"css-even[{v}]"] = _monomial(G, (), sites)
     for w in g.odd_vertices:
         sites = {w: [Factor("XL", Word.const(1))]}
         for e in g.incident_edges(w):
             other = e.head if e.tail == w else e.tail
             sites.setdefault(other, []).append(Factor("XL", Word.const(1)))
-        entries.append((f"css-odd[{w}]", _monomial(G, (), sites)))
-    return StabilizerSet(tuple(entries))
+        stabs[f"css-odd[{w}]"] = _monomial(G, (), sites)
+    return stabs
 
 
 # --- Verification ---
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    residuals: dict  # label -> float
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-    @property
-    def first_failure(self) -> str | None:
-        for lab, r in self.residuals.items():
-            if r > self.tol:
-                return lab
-        return None
-
-
-def verify(stabs: StabilizerSet, state: SparseState,
-           tol: float = STABILIZER_TOL) -> VerifyReport:
-    """Max over stabilizers of |S psi - psi| / |psi|."""
+def verify(stabs: dict, state: SparseState) -> dict:
+    """Each stabilizer's residual |S psi - psi| / |psi|, by label."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    return VerifyReport({label: residual_norm(op.apply(state), state) / norm
-                         for label, op in stabs}, tol)
+    return {label: residual_norm(op.apply(state), state) / norm
+            for label, op in stabs.items()}
 
 
 def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
@@ -621,8 +557,8 @@ def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
         stacked = (block + dim * np.arange(len(block))[:, None]).ravel()
         rows = amps[lo:lo + per_block].ravel()
         c, sq = code_residuals(
-            *merge_codes(*a.act_rows(register, stacked, rows)[:2]),
-            *merge_codes(*b.act_rows(register, stacked, rows)[:2]))
+            *merge_codes(*a.act_rows(register, stacked, rows)),
+            *merge_codes(*b.act_rows(register, stacked, rows)))
         sq = np.bincount(c // dim, weights=sq, minlength=len(block))
         worst = max(worst, float(np.sqrt(sq.max())))
     return worst

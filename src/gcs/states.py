@@ -64,17 +64,19 @@ class OverBudget(ValueError):
     builder's ``MAX_KEYS``, or a register whose codes exceed 62 bits."""
 
 
-def _fits_codes(width: int, order: int) -> bool:
-    """Whether ``width`` digits base ``order`` pack into one int64 code."""
-    return width * np.log2(order) < 62
+def _code_bits(width: int, order: int) -> float:
+    """Bits a code of ``width`` digits base ``order`` is charged: at least
+    one per site, so no register holds more than 61 sites, whatever the
+    group (a one-element group's digits carry no information)."""
+    return width * max(np.log2(order), 1.0)
 
 
 def check_width(G: FiniteGroup, width: int) -> None:
     """Raise ``OverBudget`` unless ``width`` sites of ``G`` pack into one
-    int64 code (width * log2|G| < 62)."""
-    if not _fits_codes(width, G.order):
+    int64 code (width * max(log2|G|, 1) < 62)."""
+    if _code_bits(width, G.order) >= 62:
         raise OverBudget(
-            f"{width} sites of {G.name} need {width * np.log2(G.order):.1f} "
+            f"{width} sites of {G.name} need {_code_bits(width, G.order):.1f} "
             "bits per key, past the 62-bit code limit; reduce sites or "
             "group order"
         )
@@ -137,20 +139,17 @@ class Register:
 class SparseState:
     """Immutable sparse state vector: ``codes`` is (m,) int64, the sorted,
     unique basis-vector codes of the register; ``amps`` is (m,) complex128.
-    The constructor merges and sorts its rows unless ``canonical`` says
-    they already are sorted and unique; either way it prunes amplitudes
-    below PRUNE_TOL."""
+    The constructor accepts rows in any order, with repeats, and stores
+    their canonical form (``merge_codes``)."""
 
     __slots__ = ("register", "codes", "amps")
 
-    def __init__(self, register: Register, codes: np.ndarray, amps: np.ndarray,
-                 canonical: bool = False):
+    def __init__(self, register: Register, codes: np.ndarray, amps: np.ndarray):
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if codes.shape[0] != amps.shape[0]:
             raise ValueError("codes/amps length mismatch")
-        codes, amps = (_prune(codes, amps) if canonical
-                       else merge_codes(codes, amps))
+        codes, amps = merge_codes(codes, amps)
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "amps", amps)
@@ -173,7 +172,7 @@ class SparseState:
     @classmethod
     def zero(cls, register: Register) -> "SparseState":
         return cls(register, np.zeros(0, dtype=np.int64),
-                   np.zeros(0, dtype=complex), canonical=True)
+                   np.zeros(0, dtype=complex))
 
     # --- Inspection ---
 
@@ -209,11 +208,10 @@ class SparseState:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero state")
-        return SparseState(self.register, self.codes, self.amps / n, canonical=True)
+        return SparseState(self.register, self.codes, self.amps / n)
 
     def scaled(self, c: complex) -> "SparseState":
-        return SparseState(self.register, self.codes, self.amps * c,
-                           canonical=True)
+        return SparseState(self.register, self.codes, self.amps * c)
 
     def add(self, other: "SparseState") -> "SparseState":
         _check_same_register(self, other)
@@ -250,22 +248,17 @@ def pack_codes(keys: np.ndarray, order: int) -> np.ndarray:
 def merge_codes(codes: np.ndarray, amps: np.ndarray):
     """Canonical form of a row set given by its codes: codes sorted and
     unique (a stable sort), amplitudes of equal codes summed, sums below
-    PRUNE_TOL dropped."""
-    if len(codes) == 0:
-        return codes, amps
-    perm = np.argsort(codes, kind="stable")
-    codes, amps = codes[perm], amps[perm]
-    boundary = np.empty(len(codes), dtype=bool)
-    boundary[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    if not boundary.all():  # sum each run of equal codes
-        starts = np.flatnonzero(boundary)
-        codes, amps = codes[starts], np.add.reduceat(amps, starts)
-    return _prune(codes, amps)
-
-
-def _prune(codes: np.ndarray, amps: np.ndarray):
-    """The rows whose amplitude exceeds PRUNE_TOL in magnitude."""
+    PRUNE_TOL dropped.  Codes that already strictly increase are only
+    pruned."""
+    if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():
+        perm = np.argsort(codes, kind="stable")
+        codes, amps = codes[perm], amps[perm]
+        boundary = np.empty(len(codes), dtype=bool)
+        boundary[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
+        if not boundary.all():  # sum each run of equal codes
+            starts = np.flatnonzero(boundary)
+            codes, amps = codes[starts], np.add.reduceat(amps, starts)
     keep = np.abs(amps) > PRUNE_TOL
     if keep.all():
         return codes, amps
@@ -307,8 +300,7 @@ def trivial_irrep_state(register: Register) -> SparseState:
     uniform one-site state on each register site."""
     n, w = register.group.order, register.width
     amps = np.full(register.dimension, n ** (-w / 2), dtype=complex)
-    return SparseState(register, np.arange(register.dimension), amps,
-                       canonical=True)
+    return SparseState(register, np.arange(register.dimension), amps)
 
 
 def rep_basis_state(register: Register, site, irrep: Irrep, i: int, j: int) -> SparseState:
@@ -348,7 +340,7 @@ def random_states(register: Register, rng: np.random.Generator, count: int,
     norms = np.linalg.norm(amps, axis=1, keepdims=True)
     if count and not norms.all():
         raise ValueError("cannot normalize the zero state")
-    return [SparseState(register, codes[i], amps[i] / norms[i], canonical=True)
+    return [SparseState(register, codes[i], amps[i] / norms[i])
             for i in range(count)]
 
 

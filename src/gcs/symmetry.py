@@ -106,14 +106,15 @@ def _u_even(state: SparseState, cycle, rep: Irrep,
     coeff = np.einsum("mii->m", prod)
     if normalized:
         coeff = coeff / rep.dim
-    # the codes keep their order; the constructor only prunes zero weights
-    return SparseState(reg, state.codes, state.amps * coeff, canonical=True)
+    # the codes keep their order, so the constructor only prunes zero weights
+    return SparseState(reg, state.codes, state.amps * coeff)
 
 
 def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
                             rng: np.random.Generator | None = None,
-                            states: int = 50, tol: float = 1e-10) -> dict:
-    """Check the symmetry algebra in action on random ring states.
+                            states: int = 50) -> dict:
+    """Residuals of the symmetry algebra in action on random ring states,
+    by law: the largest ||lhs - rhs|| over the states and group elements.
 
     Uses the unnormalized even operators throughout: the direct-sum law is
     additive only without the 1/dim factors, and the tensor law holds either
@@ -162,10 +163,4 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
             for r in G.irreps:
                 note("odd_even_commutation", even(odd(psi, x), r),
                      odd(even(psi, r), x))
-    worst = max(checks.values())
-    return {
-        "checks": {k: float(v) for k, v in checks.items()},
-        "max_residual": float(worst),
-        "tol": tol,
-        "passed": bool(worst <= tol),
-    }
+    return checks

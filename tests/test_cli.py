@@ -362,6 +362,19 @@ def test_qdouble_past_the_width_limit_is_input_error(capsys, monkeypatch,
     assert says in err
 
 
+@pytest.mark.parametrize("argv", [["qdouble", "--dims", "8x8"],
+                                  ["symmetry", "--ring", "100"]])
+def test_one_element_group_has_the_width_limit(tmp_path, capsys, argv):
+    # a trivial group's digits carry no bits, but a register is still
+    # charged one bit per site: 256 and 100 sites are past the 61-site limit
+    one = {"name": "Z1", "order": 1, "mul": [0], "inv": [0], "labels": ["e"],
+           "irreps": [{"label": "A", "dim": 1, "matrices": [[[1, 0]]]}]}
+    path = tmp_path / "z1.json"
+    path.write_text(json.dumps(one))
+    assert run([argv[0], "--group", str(path), *argv[1:]]) == 2
+    _one_error_line(capsys)
+
+
 # --- corpus ---
 
 

@@ -384,7 +384,7 @@ def test_random_state_is_an_unbiased_canonical_subset(width):
 
 
 def test_register_width_limit():
-    # keys pack into int64 codes below 2**62: width * log2|G| < 62
+    # keys pack into int64 codes below 2**62: width * max(log2|G|, 1) < 62
     for name, widest in (("Z2", 61), ("S3", 23), ("Z8", 20)):
         G = builtin_group(name)
         assert Register(G, tuple(range(widest))).width == widest
@@ -472,5 +472,54 @@ def test_canonical_states_prune_zero_amplitudes():
     out = act(psi, "a", z(G.irrep("std"), 0, 1))
     assert len(out) == 0 and out.norm() == 0
     assert len(psi.scaled(1e-20)) == 0
-    kept = SparseState(r, [0, 3], [0.5, 1e-15], canonical=True)
+    kept = SparseState(r, [0, 3], [0.5, 1e-15])
     assert kept.to_dict() == {(0,): 0.5}
+
+
+def _dict_merged(codes, amps):
+    """Reference canonical form: amplitudes summed per code in a dict,
+    zero sums dropped, codes ascending."""
+    acc = {}
+    for c, a in zip(codes, amps):
+        acc[int(c)] = acc.get(int(c), 0.0) + complex(a)
+    kept = sorted(c for c, a in acc.items() if abs(a) > 1e-14)
+    return kept, [acc[c] for c in kept]
+
+
+def _assert_canonical(state, codes, amps):
+    assert np.all(np.diff(state.codes) > 0)
+    want_codes, want_amps = _dict_merged(codes, amps)
+    assert state.codes.tolist() == want_codes
+    assert np.allclose(state.amps, want_amps, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("codes,amps", [
+    ([1, 4, 9], [1.0, 2j, 3.0]),                       # sorted and unique
+    ([1, 1, 4, 9, 9], [1.0, 0.5, 2j, 3.0, -3.0]),      # sorted, repeats
+    ([9, 1, 4, 1, 0], [3.0, 1.0, 2j, 0.5, 0.25]),      # unsorted, repeats
+])
+def test_constructor_decides_the_canonical_form(codes, amps):
+    r = reg("Z4", "a", "b")
+    _assert_canonical(SparseState(r, codes, amps), codes, amps)
+    # out-of-order codes are never mistaken for canonical ones
+    assert SparseState(r.drop("b"), [2, 0], [1, 1]).amplitude((0,)) == 1
+
+
+def test_apply_output_is_canonical():
+    G = builtin_group("Z4")
+    r = Register(G, ("a", "b"))
+    psi = random_state(r, np.random.default_rng(5), 12)
+    rows = list(zip(psi.codes.tolist(), psi.amps))
+    # sum[x] T(x) Xl(x^-1) at b sends every b digit to e: rows move and
+    # collide, and the sums must merge
+    collapse = ConditionalMonomial(G, ("x",), {"b": (
+        Factor("T", Word.var("x")), Factor("XL", Word.var("x", True)))})
+    _assert_canonical(collapse.apply(psi),
+                      [c - c % 4 for c, _ in rows], [a for _, a in rows])
+    # Xl(1) at a moves whole blocks of codes out of order
+    _assert_canonical(act(psi, "a", xl(1)),
+                      [(c + 4) % 16 for c, _ in rows], [a for _, a in rows])
+    # T(2) at a only filters rows
+    kept = [(c, a) for c, a in rows if c // 4 == 2]
+    _assert_canonical(act(psi, "a", t(2)),
+                      [c for c, _ in kept], [a for _, a in kept])
