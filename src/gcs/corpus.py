@@ -19,8 +19,8 @@ from .qdouble import build_qd_lattice, qd_cluster_graph
 from .stabilizers import (
     closed_form_stabilizers,
     initial_stabilizers,
-    operators_agree_on_random_states,
     propagate,
+    stabilizers_agree_on_random_states,
     verify,
 )
 from .states import SparseState, fidelity
@@ -173,19 +173,19 @@ def stabilizer_residuals(g: ClusterGraph, G: FiniteGroup, psi: SparseState,
     |S psi - psi| / |psi| for the closed forms and for the Heisenberg
     propagation; ``routes`` maps each label to the largest deviation
     between the two routes' operators over ``routes_states`` seeded random
-    states (``routes_states=0`` skips that check and leaves it empty)."""
+    states (``routes_states=0`` skips that check and leaves it empty).
+    Each label draws its states from its own seed (``derive_seed``)."""
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
     out = {"closed": verify(closed, psi),
            "propagated": verify(propagated, psi),
            "routes": {}}
     if routes_states:
-        for lab, op in closed.items():
-            rng = np.random.default_rng(derive_seed(seed, g.name, G.name, lab))
-            out["routes"][lab] = operators_agree_on_random_states(
-                op, propagated[lab], psi.register, rng,
-                states=routes_states, keys_per_state=64,
-            )
+        rngs = {lab: np.random.default_rng(derive_seed(seed, g.name, G.name, lab))
+                for lab in closed}
+        out["routes"] = stabilizers_agree_on_random_states(
+            closed, propagated, psi.register, rngs,
+            states=routes_states, keys_per_state=64)
     return out
 
 

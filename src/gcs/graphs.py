@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .states import MAX_SITES
+
 __all__ = [
     "Edge",
     "ClusterGraph",
@@ -282,6 +284,10 @@ def _check_shape(obj) -> None:
 
 def graph_from_json(obj: dict, validate: bool = True) -> ClusterGraph:
     _check_shape(obj)
+    if len(obj["vertices"]) > MAX_SITES:
+        # every vertex is a register site: refuse before anything is built
+        raise ValueError(f"graph has {len(obj['vertices'])} vertices, past "
+                         f"the register's {MAX_SITES}-site limit")
     vertices = tuple((str(v["id"]), str(v["parity"])) for v in obj["vertices"])
     edges = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in obj["edges"])
     if "orderings" in obj:

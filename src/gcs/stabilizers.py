@@ -6,7 +6,11 @@ T(word), left/right multiplications Xl(word)/Xr(word), and diagonal
 representation weights Z(irrep, i, j) — times a global scalar.  Words are
 formal products of variables (possibly inverted) and constants.  Every
 summation variable is pinned by a leading projector, so a monomial maps each
-basis vector to at most one basis vector (a row map).
+basis vector to at most one basis vector (a row map).  A named letter the
+monomial does not sum over is a parameter: the monomial is then a family of
+operators, one per value, bound per operator (``bind``) or per row
+(``act_rows``).  The odd-site stabilizers K_w^x form such a family in x, so
+each family is derived once and its |G| members are checked together.
 
 Two independent derivation routes are provided for the cluster-state
 stabilizers: Heisenberg propagation of the initial product-state
@@ -33,8 +37,7 @@ from .states import (
     SparseState,
     code_residuals,
     merge_codes,
-    random_states,
-    residual_norm,
+    sample_states,
 )
 
 __all__ = [
@@ -51,9 +54,16 @@ __all__ = [
     "verify",
     "operators_agree_on_basis",
     "operators_agree_on_random_states",
+    "stabilizers_agree_on_random_states",
 ]
 
 STABILIZER_TOL = 1e-10
+PARAM = "x"  # the parameter of the odd-site families: the element x of K_w^x
+# Rows acted on in one stacked pass.  Stacking every member of a family on
+# a large state multiplies its memory (qd2x2 with S3: 1.2 GB against 0.26 GB);
+# 2**12 rows hold each corpus family in one pass and a large state one
+# member at a time.
+BLOCK_ROWS = 2**12
 
 
 class UnsupportedConjugation(ValueError):
@@ -76,7 +86,8 @@ def _mul(G: FiniteGroup, x, y):
 @dataclass(frozen=True)
 class Word:
     """Formal left-to-right product of letters ``(value, inverted)``: an
-    int value is a group element, a str value names a variable."""
+    int value is a group element, a str value names a letter the caller
+    gives a value (a summation variable or a parameter)."""
 
     factors: tuple = ()
 
@@ -107,12 +118,17 @@ class Word:
             val = _mul(G, val, letter(*f))
         return val
 
-    def pretty(self, G: FiniteGroup) -> str:
+    def pretty(self, G: FiniteGroup, binding: dict | None = None) -> str:
+        """Letters by label; a name bound in ``binding`` prints as its
+        value."""
+        def text(v):
+            v = binding.get(v, v) if binding else v
+            return v if isinstance(v, str) else G.labels[v]
+
         if not self.factors:
             return G.labels[0]
-        return " ".join(
-            (v if isinstance(v, str) else G.labels[v]) + ("^-1" if inv else "")
-            for v, inv in self.factors)
+        return " ".join(text(v) + ("^-1" if inv else "")
+                        for v, inv in self.factors)
 
 
 def _conjugated(word: Word, var: str) -> Word:
@@ -141,6 +157,21 @@ class ConditionalMonomial:
     variables: tuple  # summation variable names, each ranging over the group
     sites: dict  # site id -> tuple of Factor, index 0 applied first
     scalar: complex = 1.0
+    binding: dict = field(default_factory=dict)  # parameter -> element
+    # the operator ``bind`` was called on; members of one family share it
+    family: "ConditionalMonomial | None" = field(default=None, repr=False,
+                                                 compare=False)
+
+    def bind(self, values: dict) -> "ConditionalMonomial":
+        """The member of this family with each parameter named in
+        ``values`` fixed to its element, e.g. ``bind({"x": 3})``."""
+        family = self.family or self
+        extra = values.keys() - family._plan[2]
+        if extra:
+            raise ValueError("no parameters " + ", ".join(sorted(extra)))
+        return ConditionalMonomial(family.group, family.variables, family.sites,
+                                   family.scalar,
+                                   {k: int(v) for k, v in values.items()}, family)
 
     def support(self) -> tuple:
         return tuple(self.sites)
@@ -153,13 +184,18 @@ class ConditionalMonomial:
     @cached_property
     def _plan(self):
         """How the action reads variables off a row; it depends on the
-        operator alone.  Returns (steps, implied): each step (site, name,
-        prefix, suffix, inverted) solves ``name`` from a leading projector
-        T(prefix name^{+-1} suffix) at ``site``; ``implied`` holds the
-        (site, factor index) of every projector a step solved from, which
-        holds on every row by construction.  Every summation variable must
-        be solved so: the operator then maps each basis vector to at most
-        one basis vector, and a variable left free raises ``ValueError``."""
+        operator alone.  Returns (steps, implied, params): each step (site,
+        name, prefix, suffix, inverted) solves ``name`` from a leading
+        projector T(prefix name^{+-1} suffix) at ``site``; ``implied`` holds
+        the (site, factor index) of every projector a step solved from,
+        which holds on every row by construction; ``params`` holds the
+        named letters that are not summation variables.  Every summation
+        variable must be solved so: the operator then maps each basis
+        vector to at most one basis vector, and a variable left free raises
+        ``ValueError``."""
+        params = {v for factors in self.sites.values() for f in factors
+                  for v, _ in f.word.factors
+                  if isinstance(v, str) and v not in self.variables}
         steps, implied = [], set()
         unsolved = set(self.variables)
         progress = True
@@ -185,9 +221,10 @@ class ConditionalMonomial:
             raise ValueError(
                 "summation variables " + ", ".join(sorted(unsolved))
                 + " are not fixed by a leading projector")
-        return tuple(steps), frozenset(implied)
+        return tuple(steps), frozenset(implied), frozenset(params)
 
-    def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray):
+    def act_rows(self, register: Register, codes: np.ndarray, amps: np.ndarray,
+                 params: dict | None = None, digits: dict | None = None):
         """Linear action on raw rows of codes: (codes, amps).
 
         One pass: each operator site's digits are read once, every
@@ -197,16 +234,25 @@ class ConditionalMonomial:
         (a block offset) pass through untouched.  The output rows are not
         merged: a rewritten digit may leave them repeated or out of order
         (``merge_codes`` restores the canonical form).
+
+        ``params`` binds parameters beyond the operator's own ``binding``,
+        each to an element or to a per-row array of elements; a parameter
+        left unbound raises ``ValueError``.  ``digits`` maps each operator
+        site to the rows' digits there, when the caller has them already.
         """
         for site in self.sites:
             if site not in register.sites:
                 raise KeyError(f"operator site {site!r} not in register")
-        steps, implied = self._plan
+        steps, implied, names = self._plan
+        env = {**self.binding, **(params or {})}
+        if not names <= env.keys():
+            raise ValueError("parameters " + ", ".join(sorted(names - env.keys()))
+                             + " are not bound")
         if len(codes) == 0:
             return codes, amps
         G = self.group
-        digits = {site: register.digit(codes, site) for site in self.sites}
-        env: dict = {}
+        if digits is None:
+            digits = {site: register.digit(codes, site) for site in self.sites}
         for site, name, prefix, suffix, inverted in steps:
             val = digits[site]
             if prefix.factors:
@@ -249,7 +295,7 @@ class ConditionalMonomial:
     # --- Printing ---
 
     def pretty(self) -> str:
-        G = self.group
+        G, binding = self.group, self.binding
         bits = []
         if self.variables:
             bits.append("sum[" + ",".join(self.variables) + "]")
@@ -261,7 +307,7 @@ class ConditionalMonomial:
                     bits.append(f"Z[{site}:{f.irrep_label},{f.i},{f.j}]")
                 else:
                     name = {"T": "T", "XL": "Xl", "XR": "Xr"}[f.kind]
-                    bits.append(f"{name}[{site}:({f.word.pretty(G)})]")
+                    bits.append(f"{name}[{site}:({f.word.pretty(G, binding)})]")
         return " ".join(bits) if bits else "1"
 
 
@@ -277,17 +323,20 @@ def initial_stabilizers(g: ClusterGraph, G: FiniteGroup,
                         include_right: bool = False) -> dict:
     """Product-state stabilizers before any gate: the identity projector on
     each even site, and every left multiplication on each odd site (the
-    right-multiplication family is redundant and off by default)."""
+    right-multiplication family is redundant and off by default).  Each
+    odd site's multiplications are one family in ``PARAM``, bound per
+    element."""
     stabs = {}
     for v in g.even_vertices:
         stabs[f"even[{v}]"] = _monomial(G, (), {v: [Factor("T", Word.const(0))]})
+    x = Word.var(PARAM)
     for w in g.odd_vertices:
-        for x in range(G.order):
-            stabs[f"odd[{w},{G.labels[x]}]"] = _monomial(
-                G, (), {w: [Factor("XL", Word.const(x))]})
+        left = _monomial(G, (), {w: [Factor("XL", x)]})
+        right = _monomial(G, (), {w: [Factor("XR", x)]})
+        for e in range(G.order):
+            stabs[f"odd[{w},{G.labels[e]}]"] = left.bind({PARAM: e})
             if include_right:
-                stabs[f"odd-right[{w},{G.labels[x]}]"] = _monomial(
-                    G, (), {w: [Factor("XR", Word.const(x))]})
+                stabs[f"odd-right[{w},{G.labels[e]}]"] = right.bind({PARAM: e})
     return stabs
 
 
@@ -385,7 +434,8 @@ def conjugate_by_cmult(op: ConditionalMonomial, control, target, sense: str,
         sites[control] = tuple(new_c)
     if new_t:
         sites[target] = tuple(new_t)
-    return ConditionalMonomial(op.group, tuple(new_vars), sites, op.scalar)
+    return ConditionalMonomial(op.group, tuple(new_vars), sites, op.scalar,
+                               op.binding)
 
 
 def propagate(sched: GateSchedule, init: dict) -> dict:
@@ -400,22 +450,23 @@ def propagate(sched: GateSchedule, init: dict) -> dict:
         adj.setdefault(gate.control, set()).add(gate.target)
         adj.setdefault(gate.target, set()).add(gate.control)
     out = {}
-    for label, op in init.items():
-        cur = op
+    for family, members in _families(init):
+        cur = family
         for gate in sched:
             cur = conjugate_by_cmult(cur, gate.control, gate.target, gate.sense,
                                      tag=f"{gate.control}@{gate.edge}")
-        if op.sites:
-            origin = op.support()[0]
+        if family.sites:
+            origin = family.support()[0]
             near = adj.get(origin, set())
             bound = {origin}.union(near, *(adj[v] for v in near))
             extra = set(cur.support()) - bound
             if extra:
                 raise SupportBoundExceeded(
-                    f"stabilizer {label} spread to {sorted(map(str, extra))}"
-                )
-        out[label] = cur
-    return out
+                    f"stabilizer {members[0][0]} spread to "
+                    f"{sorted(map(str, extra))}")
+        for label, op in members:
+            out[label] = cur.bind(op.binding) if op.binding else cur
+    return {label: out[label] for label in init}
 
 
 # --- Closed forms ---
@@ -456,13 +507,16 @@ def closed_form_even(g: ClusterGraph, G: FiniteGroup, v: str) -> ConditionalMono
     return _monomial(G, variables, site_factors)
 
 
-def closed_form_odd(g: ClusterGraph, G: FiniteGroup, w: str, x: int) -> ConditionalMonomial:
+def closed_form_odd(g: ClusterGraph, G: FiniteGroup, w: str,
+                    x: int | None = None) -> ConditionalMonomial:
     """Odd-site stabilizer for element ``x``: left multiplication at w and,
     on each even neighbour, the transported multiplication conjugated by
     the controls of every same-handed later edge at that neighbour (each
-    carrying a projector sum of its own)."""
+    carrying a projector sum of its own).  With ``x`` omitted, the family
+    of them all, x the parameter ``PARAM``."""
     if g.parity(w) != "odd":
         raise ValueError(f"{w} is not an odd vertex")
+    element = Word.var(PARAM) if x is None else Word.const(x)
     variables: list[str] = []
     even_factors: dict = {}
     dress_factors: dict = {}
@@ -475,7 +529,7 @@ def closed_form_odd(g: ClusterGraph, G: FiniteGroup, w: str, x: int) -> Conditio
             for eid in order[order.index(e.id) + 1 :]
             if (g.edge(eid).tail == p) == (sense == "left")
         ]
-        word = Word.const(x)
+        word = element
         for le in later:  # closest later edge wraps innermost
             name = f"h_{e.id}_{le.id}"
             variables.append(name)
@@ -493,15 +547,18 @@ def closed_form_odd(g: ClusterGraph, G: FiniteGroup, w: str, x: int) -> Conditio
         site_factors.setdefault(p, [])
         site_factors[p] = site_factors.get(p, []) + [f for _, f in tagged]
     # at w itself: dressing projectors (if any) first, then the multiplication
-    site_factors[w] = site_factors.get(w, []) + [Factor("XL", Word.const(x))]
+    site_factors[w] = site_factors.get(w, []) + [Factor("XL", element)]
     return _monomial(G, variables, site_factors)
 
 
 def closed_form_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
+    """Every closed form by label; each odd site's are one family, bound
+    per element."""
     stabs = {f"even[{v}]": closed_form_even(g, G, v) for v in g.even_vertices}
     for w in g.odd_vertices:
+        family = closed_form_odd(g, G, w)
         for x in range(G.order):
-            stabs[f"odd[{w},{G.labels[x]}]"] = closed_form_odd(g, G, w, x)
+            stabs[f"odd[{w},{G.labels[x]}]"] = family.bind({PARAM: x})
     return stabs
 
 
@@ -531,37 +588,98 @@ def css_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
 # --- Verification ---
 
 
+def _families(stabs: dict) -> list:
+    """[(family, [(label, operator), ...]), ...]: the labels of ``stabs``
+    grouped by the family their operators bind (an operator bound to no
+    family is a family of one), in order of first appearance."""
+    groups: dict = {}
+    for label, op in stabs.items():
+        family = op.family or op
+        groups.setdefault(id(family), (family, []))[1].append((label, op))
+    return list(groups.values())
+
+
+def _passes(blocks: int, rows: int, dim: int) -> list:
+    """[(lo, hi), ...]: blocks of ``rows`` rows each, stacked at offsets
+    of ``dim``, in passes of at most ``BLOCK_ROWS`` rows (one block at
+    least) whose offset codes stay below 2**62."""
+    per_pass = max(1, min(BLOCK_ROWS // max(rows, 1), (2**62 - 1) // dim))
+    return [(lo, min(lo + per_pass, blocks)) for lo in range(0, blocks, per_pass)]
+
+
+def _act_blocks(ops: list, which: np.ndarray, register: Register,
+                codes: np.ndarray, amps: np.ndarray, rows: int,
+                digits: dict | None = None):
+    """``act_rows`` on stacked blocks of ``rows`` rows, block i acted on by
+    ``ops[which[i]]`` (``which`` nondecreasing), the ops being members of
+    one family: one member acts alone, several act as their family with
+    each parameter read from a per-row column."""
+    if which[0] == which[-1]:
+        return ops[which[0]].act_rows(register, codes, amps, digits=digits)
+    family = ops[0].family or ops[0]
+    params = {name: np.repeat(np.array([op.binding[name] for op in ops])[which],
+                              rows)
+              for name in ops[0].binding}
+    return family.act_rows(register, codes, amps, params, digits)
+
+
 def verify(stabs: dict, state: SparseState) -> dict:
-    """Each stabilizer's residual |S psi - psi| / |psi|, by label."""
+    """Each stabilizer's residual |S psi - psi| / |psi|, by label.
+
+    The members of a family act once per pass on copies of psi stacked at
+    offsets of the register's dimension (``_passes``), psi's digits read
+    from one table; each member's residual is summed over its own block,
+    as on psi alone."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    return {label: residual_norm(op.apply(state), state) / norm
-            for label, op in stabs.items()}
+    reg, m, dim = state.register, len(state), state.register.dimension
+    table = reg.digit_table(state.codes)
+    out = {}
+    for _, members in _families(stabs):
+        ops = [op for _, op in members]
+        for lo, hi in _passes(len(ops), m, dim):
+            k = hi - lo
+            offsets = dim * np.arange(k)
+            if k == 1:  # psi itself: a large state is not copied
+                codes, amps, digits = state.codes, state.amps, table
+            else:
+                codes = (state.codes + offsets[:, None]).ravel()
+                amps, digits = np.tile(state.amps, k), np.tile(table, k)
+            c, a = merge_codes(*_act_blocks(
+                ops[lo:hi], np.arange(k), reg, codes, amps, m,
+                dict(zip(reg.sites, digits))))
+            ends = np.searchsorted(c, np.append(offsets, k * dim))
+            for j in range(k):
+                block = slice(ends[j], ends[j + 1])
+                sq = code_residuals(c[block] - offsets[j], a[block],
+                                    state.codes, state.amps)[1]
+                out[members[lo + j][0]] = float(np.sqrt(np.sum(sq))) / norm
+    return {label: out[label] for label in stabs}
 
 
-def _stacked_residuals(a: ConditionalMonomial, b: ConditionalMonomial,
-                       register: Register, codes: np.ndarray,
-                       amps: np.ndarray) -> float:
-    """Max over the states psi_i (row i of the 2-D ``codes``/``amps``) of
-    ||a psi_i - b psi_i||.  The states are stacked in blocks, state i's
-    codes offset by i * |G|^width, which no digit read or rewrite touches,
-    each block holding as many states as keep the codes below 2**62; each
-    operator acts once per block, and the per-state sums come from
-    canonicalizing the offset codes."""
+def _block_residuals(ops_a: list, ops_b: list, which: np.ndarray,
+                     register: Register, codes: np.ndarray,
+                     amps: np.ndarray) -> np.ndarray:
+    """||a psi_i - b psi_i||^2 for each state psi_i (row i of the 2-D
+    ``codes``/``amps``), a and b being ``ops_a[which[i]]`` and
+    ``ops_b[which[i]]``.  The states are stacked at offsets of
+    |G|^width, which no digit read or rewrite touches, in passes
+    (``_passes``); each family acts once per pass, and the per-state sums
+    come from canonicalizing the offset codes."""
     dim = register.dimension
-    per_block = (2**62 - 1) // dim
-    worst = 0.0
-    for lo in range(0, len(codes), per_block):
-        block = codes[lo:lo + per_block]
-        stacked = (block + dim * np.arange(len(block))[:, None]).ravel()
-        rows = amps[lo:lo + per_block].ravel()
-        c, sq = code_residuals(
-            *merge_codes(*a.act_rows(register, stacked, rows)),
-            *merge_codes(*b.act_rows(register, stacked, rows)))
-        sq = np.bincount(c // dim, weights=sq, minlength=len(block))
-        worst = max(worst, float(np.sqrt(sq.max())))
-    return worst
+    blocks, rows = codes.shape
+    sq = np.empty(blocks)
+    for lo, hi in _passes(blocks, rows, dim):
+        stacked = (codes[lo:hi] + dim * np.arange(hi - lo)[:, None]).ravel()
+        flat = amps[lo:hi].ravel()
+        c, s = code_residuals(
+            *merge_codes(*_act_blocks(ops_a, which[lo:hi], register,
+                                      stacked, flat, rows)),
+            *merge_codes(*_act_blocks(ops_b, which[lo:hi], register,
+                                      stacked, flat, rows)))
+        sq[lo:hi] = np.bincount(c // dim, weights=s, minlength=hi - lo)
+    return sq
 
 
 def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
@@ -575,17 +693,43 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
     digits = np.indices((n,) * len(support)).reshape(len(support), n ** len(support))
     codes = sum((register.place_value(s, d) for s, d in zip(support, digits)),
                 np.zeros(digits.shape[1], dtype=np.int64))
-    return _stacked_residuals(a, b, register, codes[:, None],
-                              np.ones((len(codes), 1), dtype=complex))
+    sq = _block_residuals([a], [b], np.zeros(len(codes), dtype=np.int64),
+                          register, codes[:, None],
+                          np.ones((len(codes), 1), dtype=complex))
+    return float(np.sqrt(sq.max()))
+
+
+def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,
+                                       rngs: dict, states: int = 50,
+                                       keys_per_state: int = 200) -> dict:
+    """For each label of ``a``: the max over ``states`` random states psi,
+    drawn from ``rngs[label]`` (``sample_states``), of
+    ||a[label] psi - b[label] psi||.  The labels whose operators bind one
+    family in ``a`` and one in ``b`` are checked together: their states
+    are stacked, and each family acts once per pass."""
+    groups: dict = {}
+    for label, op in a.items():
+        fa, fb = op.family or op, b[label].family or b[label]
+        groups.setdefault((id(fa), id(fb)), []).append(label)
+    out = {}
+    for labels in groups.values():
+        drawn = [sample_states(register, rngs[label], states, keys_per_state)
+                 for label in labels]
+        sq = _block_residuals([a[label] for label in labels],
+                              [b[label] for label in labels],
+                              np.arange(len(labels) * states) // states,
+                              register,
+                              np.concatenate([c for c, _ in drawn]),
+                              np.concatenate([z for _, z in drawn]))
+        for i, label in enumerate(labels):
+            mine = sq[i * states:(i + 1) * states]
+            out[label] = float(np.sqrt(mine.max())) if states else 0.0
+    return {label: out[label] for label in a}
 
 
 def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonomial,
                                      register: Register, rng: np.random.Generator,
                                      states: int = 50, keys_per_state: int = 200) -> float:
     """Max over ``states`` seeded random states psi of ||a psi - b psi||."""
-    psis = random_states(register, rng, states, keys_per_state)
-    if not psis:
-        return 0.0
-    return _stacked_residuals(a, b, register,
-                              np.stack([p.codes for p in psis]),
-                              np.stack([p.amps for p in psis]))
+    return stabilizers_agree_on_random_states(
+        {"": a}, {"": b}, register, {"": rng}, states, keys_per_state)[""]

@@ -30,6 +30,7 @@ __all__ = [
     "DENSE_CAP",
     "RDM_CAP",
     "OverBudget",
+    "MAX_SITES",
     "check_width",
     "Register",
     "SparseState",
@@ -50,6 +51,7 @@ __all__ = [
     "reduced_density_matrix",
     "schmidt_data",
     "site_marginal",
+    "sample_states",
     "random_state",
     "random_states",
 ]
@@ -57,6 +59,8 @@ __all__ = [
 PRUNE_TOL = 1e-14
 DENSE_CAP = 2**20
 RDM_CAP = 4096
+CODE_BITS = 62  # codes stay below 2**62, so block offsets fit an int64
+MAX_SITES = CODE_BITS - 1  # a code is charged at least one bit per site
 
 
 class OverBudget(ValueError):
@@ -66,19 +70,21 @@ class OverBudget(ValueError):
 
 def _code_bits(width: int, order: int) -> float:
     """Bits a code of ``width`` digits base ``order`` is charged: at least
-    one per site, so no register holds more than 61 sites, whatever the
-    group (a one-element group's digits carry no information)."""
+    one per site, so no register holds more than ``MAX_SITES`` sites,
+    whatever the group (a one-element group's digits carry no
+    information)."""
     return width * max(np.log2(order), 1.0)
 
 
 def check_width(G: FiniteGroup, width: int) -> None:
     """Raise ``OverBudget`` unless ``width`` sites of ``G`` pack into one
-    int64 code (width * max(log2|G|, 1) < 62)."""
-    if _code_bits(width, G.order) >= 62:
+    int64 code: at most ``MAX_SITES`` sites, and
+    width * max(log2|G|, 1) < 62 bits."""
+    if width > MAX_SITES or _code_bits(width, G.order) >= CODE_BITS:
         raise OverBudget(
             f"{width} sites of {G.name} need {_code_bits(width, G.order):.1f} "
-            "bits per key, past the 62-bit code limit; reduce sites or "
-            "group order"
+            f"bits per key, past the {CODE_BITS}-bit code limit; reduce sites "
+            "or group order"
         )
 
 
@@ -113,6 +119,16 @@ class Register:
         register's dimension added to a code do not change its digits."""
         p = self.place[self.axis(site)]
         return codes % (p * self.group.order) // p
+
+    def digit_table(self, codes: np.ndarray) -> np.ndarray:
+        """(width, len(codes)) table of the codes' digits, row c the
+        digits at site c, in the smallest unsigned type that holds them
+        (uint8 for every group of order <= 256)."""
+        table = np.empty((self.width, len(codes)),
+                         dtype=np.min_scalar_type(self.group.order - 1))
+        for c, site in enumerate(self.sites):
+            table[c] = self.digit(codes, site)
+        return table
 
     def place_value(self, site, digits) -> np.ndarray:
         """What ``digits`` at ``site`` add to a code, as int64."""
@@ -325,12 +341,13 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return SparseState(reg, codes, amps)
 
 
-def random_states(register: Register, rng: np.random.Generator, count: int,
-                  n_keys: int = 200) -> list:
-    """``count`` seeded random sparse states, drawn in one pass: each has
-    ``n_keys`` distinct keys drawn uniformly without replacement (the
-    whole basis if smaller) and standard-normal complex amplitudes,
-    normalized."""
+def sample_states(register: Register, rng: np.random.Generator, count: int,
+                  n_keys: int = 200):
+    """``count`` seeded random sparse states, drawn in one pass, as two
+    (count, size) arrays: row i of the codes holds state i's
+    ``size = min(n_keys, dimension)`` distinct codes, drawn uniformly
+    without replacement and sorted, and row i of the amplitudes its
+    standard-normal complex amplitudes, normalized."""
     size = min(n_keys, register.dimension)
     codes = np.empty((count, size), dtype=np.int64)
     for i in range(count):
@@ -340,13 +357,19 @@ def random_states(register: Register, rng: np.random.Generator, count: int,
     norms = np.linalg.norm(amps, axis=1, keepdims=True)
     if count and not norms.all():
         raise ValueError("cannot normalize the zero state")
-    return [SparseState(register, codes[i], amps[i] / norms[i])
-            for i in range(count)]
+    return codes, amps / norms
+
+
+def random_states(register: Register, rng: np.random.Generator, count: int,
+                  n_keys: int = 200) -> list:
+    """The states ``sample_states`` draws, as a list."""
+    return [SparseState(register, codes, amps)
+            for codes, amps in zip(*sample_states(register, rng, count, n_keys))]
 
 
 def random_state(register: Register, rng: np.random.Generator,
                  n_keys: int = 200) -> SparseState:
-    """One seeded random sparse state (see ``random_states``)."""
+    """One seeded random sparse state (see ``sample_states``)."""
     return random_states(register, rng, 1, n_keys)[0]
 
 
@@ -371,12 +394,8 @@ def residual_norm(a: SparseState, b: SparseState) -> float:
     concatenation, and exact: amplitudes subtract key by key, so residuals
     far below the state norm stay resolvable."""
     _check_same_register(a, b)
-    if len(a) == 0:
-        return b.norm()
-    if len(b) == 0:
-        return a.norm()
-    sq = code_residuals(a.codes, a.amps, b.codes, b.amps)[1]
-    return float(np.sqrt(np.sum(sq)))
+    return float(np.sqrt(np.sum(code_residuals(a.codes, a.amps, b.codes,
+                                                b.amps)[1])))
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:

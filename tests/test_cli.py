@@ -11,9 +11,11 @@ import pytest
 
 from gcs import cli
 from gcs.cli import run
-from gcs.graphs import Edge, build_graph, graph_to_json, line_graph, ring_graph
+from gcs.graphs import (Edge, build_graph, graph_to_json, line_graph,
+                        load_graph_file, ring_graph)
 from gcs.corpus import general_small_graph
 from gcs.groups import builtin_group, group_to_json
+from gcs.states import MAX_SITES
 
 
 def _write_graph(tmp_path, g, name=None):
@@ -100,10 +102,23 @@ def test_register_past_the_width_limit_is_input_error(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+def test_graph_past_the_site_limit_is_refused_on_load(tmp_path, capsys):
+    # every vertex is a register site: 61 load, 62 exit 2 before the
+    # graph is built
+    line61 = _write_graph(tmp_path, line_graph(MAX_SITES, "e"))
+    assert len(load_graph_file(line61).vertices) == MAX_SITES == 61
+    line62 = _write_graph(tmp_path, line_graph(MAX_SITES + 1, "e"))
+    for argv in (["build", "--group", "Z2"],
+                 ["stabilizers", "--group", "S3", "--cross-check"]):
+        assert run([*argv, "--graph", line62]) == 2
+        _one_error_line(capsys)
+    with pytest.raises(ValueError, match="62 vertices"):
+        load_graph_file(line62)
+
+
 def test_large_graph_file_loads_in_linear_time(tmp_path, capsys):
-    # a 32,000-vertex line without orderings: loading and validating it
-    # indexes the graph once (a per-vertex edge scan took ~50 s), then the
-    # register is past the width limit
+    # a 32,000-vertex line without orderings is refused once its vertex
+    # list is counted, before any graph indexing
     g = line_graph(32000, "e")
     obj = graph_to_json(g)
     del obj["orderings"]

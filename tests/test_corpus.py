@@ -4,9 +4,10 @@ produced on different days stay comparable byte for byte."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from gcs.builder import build_cluster_state
+from gcs.builder import build_cluster_state, schedule
 from gcs.corpus import (
     build_corpus,
     corpus_battery,
@@ -15,7 +16,16 @@ from gcs.corpus import (
     derive_seed,
     stabilizer_residuals,
 )
+from gcs.graphs import scramble_ordering
 from gcs.groups import builtin_group
+from gcs.stabilizers import (
+    closed_form_stabilizers,
+    initial_stabilizers,
+    operators_agree_on_random_states,
+    propagate,
+    stabilizers_agree_on_random_states,
+)
+from gcs.states import group_basis_state, residual_norm
 
 EXPECTED_NAMES = (
     "line3e", "line3o", "line4e", "line5o", "line6e", "line7o", "line8e",
@@ -183,3 +193,82 @@ def test_stabilizer_residuals_routes():
     assert max(max(r.values()) for r in full.values()) <= 1e-10
     bare = stabilizer_residuals(entry.graph, G, psi, seed=3, routes_states=0)
     assert bare == {**full, "routes": {}}
+
+
+# --- Families against one label at a time ---
+
+
+def _label_rng(seed, g, G, label):
+    return np.random.default_rng(derive_seed(seed, g.name, G.name, label))
+
+
+def _per_label(g, G, psi, seed):
+    """The three residual maps of ``stabilizer_residuals``, one operator
+    and one label's seed at a time."""
+    closed = closed_form_stabilizers(g, G)
+    propagated = propagate(schedule(g), initial_stabilizers(g, G))
+    norm = psi.norm()
+    return {
+        "closed": {lab: residual_norm(op.apply(psi), psi) / norm
+                   for lab, op in closed.items()},
+        "propagated": {lab: residual_norm(op.apply(psi), psi) / norm
+                       for lab, op in propagated.items()},
+        "routes": {lab: operators_agree_on_random_states(
+                       op, propagated[lab], psi.register,
+                       _label_rng(seed, g, G, lab), states=5, keys_per_state=64)
+                   for lab, op in closed.items()},
+    }
+
+
+def _perturbed(name, gname):
+    # plus a basis vector off the state's support, which a stabilizer that
+    # moves it leaves off the support: S psi and psi hold different codes
+    g, G = corpus_entry(name).graph, builtin_group(gname)
+    psi = build_cluster_state(g, G)
+    reg = psi.register
+    off = np.setdiff1d(np.arange(reg.dimension), psi.codes)[0]
+    kick = group_basis_state(reg, off // reg.place % G.order)
+    return g, G, psi.add(kick.scaled(0.3))
+
+
+def _scrambled():
+    # the state of general-small checked against the stabilizers of the
+    # graph with e1's gate order rotated: a negative control
+    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    return scramble_ordering(g, "e1"), G, build_cluster_state(g, G)
+
+
+@pytest.mark.parametrize("case", [
+    _scrambled,
+    lambda: _perturbed("general-small", "S3"),  # every family in one pass
+    lambda: _perturbed("ring8", "S3"),  # 1,296 rows: three members a pass
+    lambda: _perturbed("random-medium", "Z3"),  # 6,561 rows: one a pass
+])
+def test_families_reproduce_the_per_label_residuals(case):
+    g, G, psi = case()
+    batched = stabilizer_residuals(g, G, psi, seed=3)
+    assert batched == _per_label(g, G, psi, seed=3)
+    closed = closed_form_stabilizers(g, G)
+    assert list(batched["closed"]) == list(closed)
+    assert any(not np.array_equal(op.apply(psi).codes, psi.codes)
+               for op in closed.values())
+    assert max(batched["closed"].values()) > 0.01
+    assert max(batched["propagated"].values()) > 0.01
+
+
+def test_family_route_check_reproduces_the_per_label_check():
+    # the closed forms of one ordering against the propagation of another:
+    # route residuals far from zero
+    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    g2 = scramble_ordering(g, "e1")
+    closed = closed_form_stabilizers(g, G)
+    propagated = propagate(schedule(g2), initial_stabilizers(g2, G))
+    reg = build_cluster_state(g, G).register
+    batched = stabilizers_agree_on_random_states(
+        closed, propagated, reg,
+        {lab: _label_rng(3, g, G, lab) for lab in closed}, 5, 64)
+    assert batched == {
+        lab: operators_agree_on_random_states(
+            op, propagated[lab], reg, _label_rng(3, g, G, lab), 5, 64)
+        for lab, op in closed.items()}
+    assert max(batched.values()) > 0.1

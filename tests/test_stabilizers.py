@@ -372,6 +372,37 @@ def test_odd_stabilizers_compose_as_the_group():
             assert lhs.add(rhs.scaled(-1.0)).norm() < 1e-10
 
 
+@pytest.mark.parametrize("gname", ["S3", "D4"])
+def test_a_bound_member_is_the_constant_operator(gname):
+    G, g = builtin_group(gname), general_small()
+    reg = Register(G, g.vertex_ids)
+    sched = schedule(g)
+    propagated = propagate(sched, initial_stabilizers(g, G))
+    rng = np.random.default_rng(11)
+    for w in g.odd_vertices:
+        family = closed_form_odd(g, G, w)
+        for x in range(G.order):
+            label = f"odd[{w},{G.labels[x]}]"
+            const = mono(G, (), {w: [Factor("XL", Word.const(x))]})
+            pairs = [(family.bind({"x": x}), closed_form_odd(g, G, w, x)),
+                     (propagated[label], propagate(sched, {label: const})[label])]
+            for a, b in pairs:
+                assert a.pretty() == b.pretty(), label
+                support = set(a.support()) | set(b.support())
+                if G.order ** len(support) <= 4096:
+                    assert operators_agree_on_basis(a, b, reg) < 1e-12, label
+                else:  # o1 reaches five sites
+                    assert operators_agree_on_random_states(
+                        a, b, reg, rng, states=4, keys_per_state=256) < 1e-12
+    psi = build_cluster_state(g, G)
+    for unbound in (closed_form_odd(g, G, "o1"),
+                    mono(G, (), {"o1": [Factor("XL", Word.var("x"))]})):
+        with pytest.raises(ValueError, match="parameters x are not bound"):
+            unbound.apply(psi)
+    with pytest.raises(ValueError, match="no parameters y"):
+        closed_form_odd(g, G, "o1").bind({"y": 1})
+
+
 def test_ordering_scramble_changes_the_state_and_the_stabilizers():
     G = builtin_group("S3")
     g = general_small()

@@ -22,6 +22,7 @@ from gcs.states import (
     project_site,
     random_state,
     random_states,
+    sample_states,
     reduced_density_matrix,
     rep_basis_order,
     rep_basis_state,
@@ -400,6 +401,11 @@ def test_random_states_draws_distinct_canonical_states():
     for s in states:
         assert len(s) == 64 and abs(s.norm() - 1.0) < TOL
         assert np.array_equal(SparseState(r, s.codes, s.amps).codes, s.codes)
+    # the sampler's rows are those states, canonical as drawn
+    codes, amps = sample_states(r, np.random.default_rng(4), 5, 64)
+    assert codes.shape == amps.shape == (5, 64)
+    for s, c, a in zip(states, codes, amps):
+        assert np.array_equal(s.codes, c) and np.array_equal(s.amps, a)
 
 
 def test_pack_codes_matches_digit_loop():
