@@ -50,6 +50,8 @@ from .symmetry import verify_symmetry_algebra
 
 __all__ = ["main", "run"]
 
+MAX_STATES = 1_000  # random states a symmetry check may draw (--states)
+
 
 class InputError(Exception):
     """Bad input: reported on stderr with exit code 2."""
@@ -249,8 +251,9 @@ def _cmd_symmetry(args) -> dict:
     G, ghash = _load_group(args.group)
     if (args.graph is None) == (args.ring is None):
         raise InputError("pass exactly one of --graph or --ring")
-    if args.states < 1:
-        raise InputError(f"--states needs at least 1, got {args.states}")
+    if not 1 <= args.states <= MAX_STATES:
+        raise InputError(
+            f"--states needs 1 to {MAX_STATES}, got {args.states}")
     if args.graph is not None:
         g, fhash = _load_graph(args.graph)
     else:
@@ -390,6 +393,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0; anything else is a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return seed
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``run``;
@@ -409,7 +423,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True,
                            help="graph JSON file")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="override the default tolerance")
         p.add_argument("--out", default=None, help="write the JSON report here")

@@ -174,17 +174,17 @@ def stabilizer_residuals(g: ClusterGraph, G: FiniteGroup, psi: SparseState,
     propagation; ``routes`` maps each label to the largest deviation
     between the two routes' operators over ``routes_states`` seeded random
     states (``routes_states=0`` skips that check and leaves it empty).
-    Each label draws its states from its own seed (``derive_seed``)."""
+    The states are drawn once per pair, from the pair's seed
+    (``derive_seed``), and shared by every label."""
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
     out = {"closed": verify(closed, psi),
            "propagated": verify(propagated, psi),
            "routes": {}}
     if routes_states:
-        rngs = {lab: np.random.default_rng(derive_seed(seed, g.name, G.name, lab))
-                for lab in closed}
+        rng = np.random.default_rng(derive_seed(seed, g.name, G.name))
         out["routes"] = stabilizers_agree_on_random_states(
-            closed, propagated, psi.register, rngs,
+            closed, propagated, psi.register, rng,
             states=routes_states, keys_per_state=64)
     return out
 

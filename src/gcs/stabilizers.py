@@ -193,9 +193,10 @@ class ConditionalMonomial:
         variable must be solved so: the operator then maps each basis
         vector to at most one basis vector, and a variable left free raises
         ``ValueError``."""
+        variables = set(self.variables)
         params = {v for factors in self.sites.values() for f in factors
                   for v, _ in f.word.factors
-                  if isinstance(v, str) and v not in self.variables}
+                  if isinstance(v, str) and v not in variables}
         steps, implied = [], set()
         unsolved = set(self.variables)
         progress = True
@@ -659,25 +660,27 @@ def verify(stabs: dict, state: SparseState) -> dict:
 
 
 def _block_residuals(ops_a: list, ops_b: list, which: np.ndarray,
-                     register: Register, codes: np.ndarray,
-                     amps: np.ndarray) -> np.ndarray:
+                     register: Register, codes: np.ndarray, amps: np.ndarray,
+                     table: np.ndarray) -> np.ndarray:
     """||a psi_i - b psi_i||^2 for each state psi_i (row i of the 2-D
     ``codes``/``amps``), a and b being ``ops_a[which[i]]`` and
     ``ops_b[which[i]]``.  The states are stacked at offsets of
     |G|^width, which no digit read or rewrite touches, in passes
     (``_passes``); each family acts once per pass, and the per-state sums
-    come from canonicalizing the offset codes."""
+    come from canonicalizing the offset codes.  ``table`` is the
+    ``digit_table`` of the raveled ``codes``, so no pass reads digits."""
     dim = register.dimension
     blocks, rows = codes.shape
     sq = np.empty(blocks)
     for lo, hi in _passes(blocks, rows, dim):
         stacked = (codes[lo:hi] + dim * np.arange(hi - lo)[:, None]).ravel()
         flat = amps[lo:hi].ravel()
+        digits = dict(zip(register.sites, table[:, lo * rows:hi * rows]))
         c, s = code_residuals(
             *merge_codes(*_act_blocks(ops_a, which[lo:hi], register,
-                                      stacked, flat, rows)),
+                                      stacked, flat, rows, digits)),
             *merge_codes(*_act_blocks(ops_b, which[lo:hi], register,
-                                      stacked, flat, rows)))
+                                      stacked, flat, rows, digits)))
         sq[lo:hi] = np.bincount(c // dim, weights=s, minlength=hi - lo)
     return sq
 
@@ -695,32 +698,34 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
                 np.zeros(digits.shape[1], dtype=np.int64))
     sq = _block_residuals([a], [b], np.zeros(len(codes), dtype=np.int64),
                           register, codes[:, None],
-                          np.ones((len(codes), 1), dtype=complex))
+                          np.ones((len(codes), 1), dtype=complex),
+                          register.digit_table(codes))
     return float(np.sqrt(sq.max()))
 
 
 def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,
-                                       rngs: dict, states: int = 50,
+                                       rng: np.random.Generator, states: int = 50,
                                        keys_per_state: int = 200) -> dict:
-    """For each label of ``a``: the max over ``states`` random states psi,
-    drawn from ``rngs[label]`` (``sample_states``), of
-    ||a[label] psi - b[label] psi||.  The labels whose operators bind one
-    family in ``a`` and one in ``b`` are checked together: their states
-    are stacked, and each family acts once per pass."""
+    """For each label of ``a``: the max over ``states`` random states psi of
+    ||a[label] psi - b[label] psi||.  The states are drawn once from
+    ``rng`` (``sample_states``) and every label is checked on them.  The
+    labels whose operators bind one family in ``a`` and one in ``b`` are
+    checked together: the states are tiled once per member, with their
+    digit table, and each family acts once per pass."""
+    codes, amps = sample_states(register, rng, states, keys_per_state)
+    table = register.digit_table(codes.ravel())
     groups: dict = {}
     for label, op in a.items():
         fa, fb = op.family or op, b[label].family or b[label]
         groups.setdefault((id(fa), id(fb)), []).append(label)
     out = {}
     for labels in groups.values():
-        drawn = [sample_states(register, rngs[label], states, keys_per_state)
-                 for label in labels]
+        k = len(labels)
         sq = _block_residuals([a[label] for label in labels],
                               [b[label] for label in labels],
-                              np.arange(len(labels) * states) // states,
-                              register,
-                              np.concatenate([c for c, _ in drawn]),
-                              np.concatenate([z for _, z in drawn]))
+                              np.arange(k * states) // states, register,
+                              np.tile(codes, (k, 1)), np.tile(amps, (k, 1)),
+                              np.tile(table, k))
         for i, label in enumerate(labels):
             mine = sq[i * states:(i + 1) * states]
             out[label] = float(np.sqrt(mine.max())) if states else 0.0
@@ -732,4 +737,4 @@ def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonom
                                      states: int = 50, keys_per_state: int = 200) -> float:
     """Max over ``states`` seeded random states psi of ||a psi - b psi||."""
     return stabilizers_agree_on_random_states(
-        {"": a}, {"": b}, register, {"": rng}, states, keys_per_state)[""]
+        {"": a}, {"": b}, register, rng, states, keys_per_state)[""]

@@ -264,6 +264,22 @@ def test_symmetry_needs_a_state(capsys, states):
     assert "--states" in capsys.readouterr().err
 
 
+def test_symmetry_states_past_the_limit_is_input_error(capsys, monkeypatch):
+    drawn = []
+
+    def no_draw(g, G, rng, states):
+        drawn.append(states)
+        return {}
+
+    monkeypatch.setattr(cli, "verify_symmetry_algebra", no_draw)
+    ring = ["symmetry", "--group", "Z2", "--ring", "4", "--states"]
+    assert run([*ring, str(cli.MAX_STATES + 1)]) == 2
+    _one_error_line(capsys)
+    assert drawn == []
+    assert run([*ring, str(cli.MAX_STATES)]) == 0
+    assert drawn == [cli.MAX_STATES]
+
+
 def test_symmetry_rejects_odd_ring():
     assert run(["symmetry", "--group", "Z2", "--ring", "5"]) == 2
 
@@ -463,6 +479,24 @@ def test_bad_tolerance_is_usage_error(argv, tol, capsys, monkeypatch):
         run([*argv, f"--tol={tol}"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3", "1.5", "x"])
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "--group", "Z2", "--ring", "4"],
+    ["measure", "--group", "Z2", "--graph", "g.json", "--site", "1"],
+    ["measure", "--group", "Z2", "--graph", "g.json", "--site", "1",
+     "--basis", "rep"],
+    ["qdouble", "--group", "Z2", "--random-outcomes"],
+    ["stabilizers", "--group", "Z2", "--graph", "g.json", "--cross-check"],
+    ["corpus", "--max-edges", "2"],
+])
+def test_bad_seed_is_usage_error(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, f"--seed={seed}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
 
 
 def test_zero_tolerance_is_accepted():

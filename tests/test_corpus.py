@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gcs import stabilizers
 from gcs.builder import build_cluster_state, schedule
 from gcs.corpus import (
     build_corpus,
@@ -19,13 +20,14 @@ from gcs.corpus import (
 from gcs.graphs import scramble_ordering
 from gcs.groups import builtin_group
 from gcs.stabilizers import (
+    PARAM,
     closed_form_stabilizers,
     initial_stabilizers,
     operators_agree_on_random_states,
     propagate,
     stabilizers_agree_on_random_states,
 )
-from gcs.states import group_basis_state, residual_norm
+from gcs.states import group_basis_state, residual_norm, sample_states
 
 EXPECTED_NAMES = (
     "line3e", "line3o", "line4e", "line5o", "line6e", "line7o", "line8e",
@@ -198,13 +200,14 @@ def test_stabilizer_residuals_routes():
 # --- Families against one label at a time ---
 
 
-def _label_rng(seed, g, G, label):
-    return np.random.default_rng(derive_seed(seed, g.name, G.name, label))
+def _pair_rng(seed, g, G):
+    return np.random.default_rng(derive_seed(seed, g.name, G.name))
 
 
 def _per_label(g, G, psi, seed):
     """The three residual maps of ``stabilizer_residuals``, one operator
-    and one label's seed at a time."""
+    at a time; each label's route check draws the pair's states from a
+    fresh generator of the pair's seed."""
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
     norm = psi.norm()
@@ -215,7 +218,7 @@ def _per_label(g, G, psi, seed):
                        for lab, op in propagated.items()},
         "routes": {lab: operators_agree_on_random_states(
                        op, propagated[lab], psi.register,
-                       _label_rng(seed, g, G, lab), states=5, keys_per_state=64)
+                       _pair_rng(seed, g, G), states=5, keys_per_state=64)
                    for lab, op in closed.items()},
     }
 
@@ -265,10 +268,43 @@ def test_family_route_check_reproduces_the_per_label_check():
     propagated = propagate(schedule(g2), initial_stabilizers(g2, G))
     reg = build_cluster_state(g, G).register
     batched = stabilizers_agree_on_random_states(
-        closed, propagated, reg,
-        {lab: _label_rng(3, g, G, lab) for lab in closed}, 5, 64)
+        closed, propagated, reg, _pair_rng(3, g, G), 5, 64)
     assert batched == {
         lab: operators_agree_on_random_states(
-            op, propagated[lab], reg, _label_rng(3, g, G, lab), 5, 64)
+            op, propagated[lab], reg, _pair_rng(3, g, G), 5, 64)
         for lab, op in closed.items()}
     assert max(batched.values()) > 0.1
+
+
+def test_mismatch_planted_in_one_member_shows_on_that_label_only():
+    # one member of one propagated family rebound to another element: it
+    # still acts in its family's pass, and only its label disagrees
+    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    closed = closed_form_stabilizers(g, G)
+    propagated = propagate(schedule(g), initial_stabilizers(g, G))
+    w = g.odd_vertices[1]
+    planted = f"odd[{w},{G.labels[2]}]"
+    propagated[planted] = propagated[planted].bind({PARAM: 3})
+    family = propagated[f"odd[{w},{G.labels[0]}]"].family
+    assert propagated[planted].family is family
+    reg = build_cluster_state(g, G).register
+    routes = stabilizers_agree_on_random_states(
+        closed, propagated, reg, _pair_rng(3, g, G), 5, 64)
+    assert list(routes) == list(closed)
+    assert routes[planted] > 0.1
+    assert all(r == 0.0 for lab, r in routes.items() if lab != planted)
+
+
+def test_stabilizer_residuals_draws_once_per_pair(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # count
+        return sample_states(*args, **kwargs)
+
+    monkeypatch.setattr(stabilizers, "sample_states", counted)
+    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    psi = build_cluster_state(g, G)
+    res = stabilizer_residuals(g, G, psi, seed=3)
+    assert len(res["routes"]) > 1
+    assert calls == [5]
