@@ -4,8 +4,9 @@ Every subcommand assembles a run report — command, input hashes, effective
 tolerances, per-check residuals, pass/fail — and exits 0 only when every
 check passed.  Exit 2 flags bad input (unknown group, malformed graph file,
 a group file's order outside 1..256, a state past the builder's key
-budget, a register too wide for 62-bit key codes) before any check runs;
-exit 1 flags a check failure.
+budget, a register too wide for 62-bit key codes) before any check runs,
+and an unwritable ``--out`` or ``--dump-graphs`` path, in which case no
+report is printed; exit 1 flags a check failure.
 Reports are deterministic for fixed inputs and seed up to the wall-time
 field, which consumers strip before diffing.
 """
@@ -35,7 +36,7 @@ from .groups import (
     validate_group,
     validate_irreps,
 )
-from .measurement import measure, outcome_distribution
+from .measurement import measure
 from .peps import compare_to_circuit
 from .qdouble import (
     build_qd_lattice,
@@ -73,7 +74,7 @@ def _canonical_hash(obj) -> str:
 def _load_group(spec: str):
     try:
         G = resolve_group(spec)
-    except (KeyError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         raise InputError(f"cannot load group {spec!r}: {exc}")
     # resolve_group prefers the catalog over a file of the same name
     if spec in catalog_names():
@@ -86,7 +87,7 @@ def _load_group(spec: str):
 def _load_graph(path: str):
     try:
         g = load_graph_file(path)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         raise InputError(f"cannot load graph {path!r}: {exc}")
     return g, {"spec": path, "sha256": _sha256_file(path)}
 
@@ -125,8 +126,11 @@ def _assemble(command: str, inputs: dict, tolerances: dict, checks: list,
 def _emit(report: dict, args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.out!r}: {exc}")
     if args.json:
         print(text)
     else:
@@ -150,26 +154,25 @@ def _cmd_group(args) -> dict:
     if args.action == "show":
         return _assemble("group", {"group": ghash}, {}, [], None,
                          extra={"group_json": group_to_json(G)})
-    tol = args.tol if args.tol is not None else ALGEBRA_TOL
     table_rep = validate_group(G)
     checks = []
     if not table_rep.violations:
         # the table axioms are exact integer checks; a clean pass is residual 0
-        checks.append(_check(f"{G.name}:table_axioms", 0.0, tol))
+        checks.append(_check(f"{G.name}:table_axioms", 0.0, args.tol))
     for rep in (table_rep, validate_irreps(G)):
         for name, residual in sorted(rep.residuals.items()):
-            checks.append(_check(f"{rep.subject}:{name}", residual, tol))
+            checks.append(_check(f"{rep.subject}:{name}", residual, args.tol))
         for violation in rep.violations:
-            checks.append(_check(f"{rep.subject}:{violation}", float("inf"), tol))
-    return _assemble("group", {"group": ghash}, {"algebra": tol}, checks, None)
+            checks.append(_check(f"{rep.subject}:{violation}", float("inf"),
+                                 args.tol))
+    return _assemble("group", {"group": ghash}, {"algebra": args.tol}, checks, None)
 
 
 def _cmd_build(args) -> dict:
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     psi = build_cluster_state(g, G)
-    checks = [_check("norm", abs(psi.norm() - 1.0), tol)]
+    checks = [_check("norm", abs(psi.norm() - 1.0), args.tol)]
     extra = {
         "sites": list(psi.register.sites),
         "keys": len(psi),
@@ -181,34 +184,28 @@ def _cmd_build(args) -> dict:
             for key, a in psi.items()
         ]
     return _assemble("build", {"group": ghash, "graph": fhash},
-                     {"residual": tol}, checks, None, extra=extra)
+                     {"residual": args.tol}, checks, None, extra=extra)
 
 
 def _cmd_stabilizers(args) -> dict:
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     psi = build_cluster_state(g, G)
     res = stabilizer_residuals(g, G, psi, args.seed,
                                5 if args.cross_check else 0)
-    checks = [_check(f"{route}:{label}", residual, tol)
+    checks = [_check(f"{route}:{label}", residual, args.tol)
               for route, residuals in res.items()
               for label, residual in residuals.items()]
     return _assemble("stabilizers", {"group": ghash, "graph": fhash},
-                     {"residual": tol}, checks, args.seed)
+                     {"residual": args.tol}, checks, args.seed)
 
 
 def _cmd_measure(args) -> dict:
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     psi = build_cluster_state(g, G)
     if args.site not in psi.register.sites:
         raise InputError(f"site {args.site!r} not in graph {g.name!r}")
-    try:
-        dist = outcome_distribution(psi, args.site, args.basis)
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
     forced = None
     if args.forced is not None:
         if args.basis == "group":
@@ -229,20 +226,20 @@ def _cmd_measure(args) -> dict:
         out = measure(psi, args.site, args.basis, rng=rng, forced=forced)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc))
-    total = sum(p for _, p in dist)
+    total = sum(p for _, p in out.distribution)
     checks = [
-        _check("distribution_total", abs(total - 1.0), tol),
-        _check("post_state_norm", abs(out.post_state.norm() - 1.0), tol),
+        _check("distribution_total", abs(total - 1.0), args.tol),
+        _check("post_state_norm", abs(out.post_state.norm() - 1.0), args.tol),
     ]
     return _assemble(
-        "measure", {"group": ghash, "graph": fhash}, {"residual": tol},
+        "measure", {"group": ghash, "graph": fhash}, {"residual": args.tol},
         checks, args.seed,
         extra={
             "site": args.site,
             "basis": args.basis,
             "outcome": str(out.outcome),
             "probability": float(out.probability),
-            "distribution": [[str(o), float(p)] for o, p in dist],
+            "distribution": [[str(o), float(p)] for o, p in out.distribution],
             "post_keys": len(out.post_state),
         })
 
@@ -263,27 +260,25 @@ def _cmd_symmetry(args) -> dict:
         g = ring_graph(args.ring)
         fhash = {"spec": f"ring{args.ring}",
                  "sha256": _canonical_hash(graph_to_json(g))}
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     rng = np.random.default_rng(args.seed)
     try:
         residuals = verify_symmetry_algebra(g, G, rng=rng, states=args.states)
     except ValueError as exc:
         raise InputError(str(exc))
-    checks = [_check(name, residual, tol)
+    checks = [_check(name, residual, args.tol)
               for name, residual in sorted(residuals.items())]
     return _assemble("symmetry", {"group": ghash, "graph": fhash},
-                     {"residual": tol}, checks, args.seed,
+                     {"residual": args.tol}, checks, args.seed,
                      extra={"states": args.states})
 
 
 def _cmd_peps_compare(args) -> dict:
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     fid = compare_to_circuit(g, G)
-    checks = [_fidelity_check("contract_vs_circuit", fid, tol)]
+    checks = [_fidelity_check("contract_vs_circuit", fid, args.tol)]
     return _assemble("peps-compare", {"group": ghash, "graph": fhash},
-                     {"fidelity_gap": tol}, checks, None,
+                     {"fidelity_gap": args.tol}, checks, None,
                      extra={"fidelity": float(fid)})
 
 
@@ -306,7 +301,6 @@ def _cmd_qdouble(args) -> dict:
         raise InputError(str(exc))
     check_width(G, 4 * dims[0] * dims[1])  # before the lattice is allocated
     lat = build_qd_lattice(*dims)
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     outcomes: dict = {}
     if args.random_outcomes:
         rng = np.random.default_rng(args.seed)
@@ -320,7 +314,7 @@ def _cmd_qdouble(args) -> dict:
         psi, stabs = prepare_qd_with_measurement(lat, G, outcomes)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc))
-    checks = [_check(label, residual, tol)
+    checks = [_check(label, residual, args.tol)
               for label, residual in verify(stabs, psi).items()]
     extra = {
         "dims": list(dims),
@@ -333,34 +327,36 @@ def _cmd_qdouble(args) -> dict:
     }
     if G.order == 2 and not outcomes:
         fid = sector_matched_fidelity(lat, psi)
-        checks.append(_fidelity_check("toric_reference", fid, tol))
+        checks.append(_fidelity_check("toric_reference", fid, args.tol))
         extra["toric_fidelity"] = float(fid)
     inputs = {"group": ghash,
               "lattice": {"spec": args.dims,
                           "sha256": _canonical_hash(list(dims))}}
-    return _assemble("qdouble", inputs, {"residual": tol}, checks, args.seed,
+    return _assemble("qdouble", inputs, {"residual": args.tol}, checks, args.seed,
                      extra=extra)
 
 
 def _cmd_corpus(args) -> dict:
-    tol = args.tol if args.tol is not None else STABILIZER_TOL
     if args.dump_graphs:
-        os.makedirs(args.dump_graphs, exist_ok=True)
         written = []
-        for entry in build_corpus():
-            path = os.path.join(args.dump_graphs, f"{entry.name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(graph_to_json(entry.graph), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-            written.append(path)
+        try:
+            os.makedirs(args.dump_graphs, exist_ok=True)
+            for entry in build_corpus():
+                path = os.path.join(args.dump_graphs, f"{entry.name}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(graph_to_json(entry.graph), fh, indent=2,
+                              sort_keys=True)
+                    fh.write("\n")
+                written.append(path)
+        except OSError as exc:
+            raise InputError(f"cannot dump graphs: {exc}")
         return _assemble("corpus", {}, {}, [], args.seed,
                          extra={"dumped": written})
     pairs = corpus_pairs(max_edges=args.max_edges,
                          groups=args.groups or None)
     if not pairs:
         raise InputError("the requested filters leave no corpus pairs")
-    results = [corpus_battery(entry, gname, seed=args.seed, tol=tol)
+    results = [corpus_battery(entry, gname, seed=args.seed, tol=args.tol)
                for entry, gname in pairs]
     checks = []
     for res in results:
@@ -369,12 +365,12 @@ def _cmd_corpus(args) -> dict:
                     res["propagated_max_residual"],
                     res["routes_max_residual"],
                     1.0 - res["peps_fidelity"])
-        checks.append(_check(label, worst, tol))
+        checks.append(_check(label, worst, args.tol))
     corpus_hash = _canonical_hash(
         [graph_to_json(e.graph) for e in build_corpus()])
     return _assemble("corpus", {"corpus": {"spec": "builtin",
                                            "sha256": corpus_hash}},
-                     {"residual": tol}, checks, args.seed,
+                     {"residual": args.tol}, checks, args.seed,
                      extra={"pairs": len(pairs), "results": results})
 
 
@@ -415,7 +411,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, graph=False, seed=False):
+    def common(p, group=True, graph=False, seed=False, tol=STABILIZER_TOL):
         if group:
             p.add_argument("--group", required=True,
                            help="catalog name or group JSON file")
@@ -424,8 +420,8 @@ def _parser() -> argparse.ArgumentParser:
                            help="graph JSON file")
         if seed:
             p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="override the default tolerance")
+        p.add_argument("--tol", type=_tolerance, default=tol,
+                       help="check tolerance (default %(default)g)")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report instead of a summary")
@@ -434,9 +430,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("validate", "show"))
     p.add_argument("--name", dest="group", required=True,
                    help="catalog name or group JSON file")
-    p.add_argument("--tol", type=_tolerance, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
+    common(p, group=False, tol=ALGEBRA_TOL)
     p.set_defaults(fn=_cmd_group)
 
     p = sub.add_parser("build", help="build a cluster state and dump it")
@@ -499,11 +493,11 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.fn(args)
+        report["wall_time_s"] = round(time.perf_counter() - start, 6)
+        return _emit(report, args)
     except (InputError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    return _emit(report, args)
 
 
 def main(argv=None) -> int:

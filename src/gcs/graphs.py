@@ -10,11 +10,11 @@ Vertex and edge ids are strings throughout (JSON-safe).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .groups import read_json_file
 from .states import MAX_SITES
 
 __all__ = [
@@ -282,7 +282,7 @@ def _check_shape(obj) -> None:
         raise ValueError("graph 'orderings' must map vertex ids to lists")
 
 
-def graph_from_json(obj: dict, validate: bool = True) -> ClusterGraph:
+def graph_from_json(obj: dict) -> ClusterGraph:
     _check_shape(obj)
     if len(obj["vertices"]) > MAX_SITES:
         # every vertex is a register site: refuse before anything is built
@@ -303,13 +303,11 @@ def graph_from_json(obj: dict, validate: bool = True) -> ClusterGraph:
         edges=edges,
         orderings=orderings,
     )
-    if validate:
-        rep = validate_graph(g)
-        if not rep.ok:
-            raise ValueError(f"graph {g.name} failed validation: {rep.violations}")
+    rep = validate_graph(g)
+    if not rep.ok:
+        raise ValueError(f"graph {g.name} failed validation: {rep.violations}")
     return g
 
 
-def load_graph_file(path: str, validate: bool = True) -> ClusterGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh), validate=validate)
+def load_graph_file(path: str) -> ClusterGraph:
+    return graph_from_json(read_json_file(path))

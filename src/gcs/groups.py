@@ -513,7 +513,7 @@ def _check_shape(obj) -> None:
             "irrep 'matrices' must hold one list of [re, im] pairs per element")
 
 
-def group_from_json(obj: dict, validate: bool = True) -> FiniteGroup:
+def group_from_json(obj: dict) -> FiniteGroup:
     _check_shape(obj)
     n = int(obj["order"])
     # bound the sizes before any array is built from them
@@ -539,26 +539,35 @@ def group_from_json(obj: dict, validate: bool = True) -> FiniteGroup:
         labels=tuple(str(x) for x in obj["labels"]),
         irreps=tuple(irreps),
     )
-    if validate:
-        rep = validate_group(G)
-        if not rep.passed():
-            raise ValueError(f"group {G.name} failed validation: {rep.violations}")
-        rep = validate_irreps(G)
-        if not rep.passed():
-            raise ValueError(
-                f"group {G.name} irreps failed validation: "
-                f"{rep.violations or rep.residuals}"
-            )
+    rep = validate_group(G)
+    if not rep.passed():
+        raise ValueError(f"group {G.name} failed validation: {rep.violations}")
+    rep = validate_irreps(G)
+    if not rep.passed():
+        raise ValueError(
+            f"group {G.name} irreps failed validation: "
+            f"{rep.violations or rep.residuals}"
+        )
     return G
 
 
-def load_group_file(path: str, validate: bool = True) -> FiniteGroup:
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def read_json_file(path: str):
+    """Parse a JSON file, refusing the NaN and +-Infinity constants that
+    Python's json reader accepts but JSON does not have."""
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh), validate=validate)
+        return json.load(fh, parse_constant=_not_json)
 
 
-def resolve_group(spec: str, validate: bool = True) -> FiniteGroup:
+def load_group_file(path: str) -> FiniteGroup:
+    return group_from_json(read_json_file(path))
+
+
+def resolve_group(spec: str) -> FiniteGroup:
     """Catalog name or path to a group JSON file."""
     if spec in _CATALOG_BUILDERS:
         return builtin_group(spec)
-    return load_group_file(spec, validate=validate)
+    return load_group_file(spec)

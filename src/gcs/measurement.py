@@ -39,6 +39,7 @@ class MeasurementOutcome:
     outcome: object  # element label, or (irrep label, i, j)
     probability: float
     post_state: SparseState  # normalized, measured site dropped
+    distribution: list  # every outcome's probability, as outcome_distribution
 
 
 def _check_rep_basis(G) -> None:
@@ -113,6 +114,7 @@ def measure(state: SparseState, site, basis: str = "group",
         outcome=outcomes[idx],
         probability=float(probs[idx]),
         post_state=post.normalized(),
+        distribution=dist,
     )
 
 

@@ -19,9 +19,10 @@ register and verified against the projected state.
 Measured variants keep the plaquette outcomes m_p instead of forcing the
 identity.  The shifted plaquette stabilizers just move the target of the
 holonomy; the star family survives per element only when a consistent
-per-link dressing exists, which a short walk around the star's four
-quadrant plaquettes decides (conjugating by m_p at the two ends of a
-reading, cancelling inside it)."""
+per-link dressing exists.  A walk U -> R -> D -> L -> U around the star's
+four quadrant plaquettes decides it: the next leg keeps the element when
+the two legs are neighbours in the plaquette's reading, and takes it
+conjugated by m_p when they are the reading's two ends."""
 
 from __future__ import annotations
 
@@ -260,77 +261,30 @@ def qd_stabilizers(lat: QdLattice, G: FiniteGroup) -> dict:
 # --- Measured-variant star dressing ---
 
 
-def _insertion(inbound: bool):
-    """How an X factor lands in a holonomy word (all exponents are +1):
-    left multiplication contributes its inverse on the left of the link's
-    letter, right multiplication contributes itself on the right."""
-    return ("L", "inv") if inbound else ("R", "id")
-
-
-def _solve_quadrant(G: FiniteGroup, word, m: int, known_link: str, a_known: int,
-                    known_in: bool, unk_link: str, unk_in: bool):
-    """Element for the unknown leg that preserves holonomy == m, or None."""
-    t_k, t_u = word.index(known_link), word.index(unk_link)
-    side_k, form_k = _insertion(known_in)
-    side_u, form_u = _insertion(unk_in)
-    ins_k = G.inverse[a_known] if form_k == "inv" else a_known
-
-    def from_insertion(val):
-        # recover the leg element from its inserted value
-        return int(G.inverse[val] if form_u == "inv" else val)
-
-    # adjacent cancellation: ...x (ins_k ins_u) y... == ...x y...
-    if side_k == "R" and side_u == "L" and (t_k + 1) == t_u:
-        return from_insertion(G.inverse[ins_k])
-    if side_u == "R" and side_k == "L" and (t_u + 1) == t_k:
-        return from_insertion(G.inverse[ins_k])
-    # wrap: ins_0 m ins_3 == m
-    if side_k == "L" and t_k == 0 and side_u == "R" and t_u == len(word) - 1:
-        val = G.table[G.table[G.inverse[m], G.inverse[ins_k]], m]
-        return from_insertion(val)
-    if side_u == "L" and t_u == 0 and side_k == "R" and t_k == len(word) - 1:
-        val = G.table[G.table[m, G.inverse[ins_k]], G.inverse[m]]
-        return from_insertion(val)
-    # no cancellation pattern: only the identity passes through
-    return 0 if ins_k == 0 else None
-
-
-def _star_walk(lat: QdLattice, G: FiniteGroup, sid: str, g: int, outcomes: dict):
-    """Per-slot elements for a dressed star, or None when the walk around
-    the four quadrant plaquettes fails to close."""
+def dressed_star(lat: QdLattice, G: FiniteGroup, sid: str, g: int,
+                 outcomes: dict) -> ConditionalMonomial | None:
+    """Star element ``g`` dressed per leg to keep every plaquette holonomy
+    at its outcome, or None when the walk does not return to U with ``g``.
+    Neighbouring legs in a reading cancel, so the next leg keeps the element
+    a; the reading's two ends meet across m_p, giving m^-1 a m (known leg
+    first) or m a m^-1 (known leg last).  The lattice has no other shape."""
     s = lat.star(sid)
     x, y, l1, l2 = s.x, s.y, lat.l1, lat.l2
-    quadrants = [  # (plaquette, from-slot, to-slot) in geometric order
+    quadrants = (  # (plaquette, known slot, next slot) in geometric order
         (f"p[{x},{y}]", "U", "R"),
         (f"p[{x},{(y - 1) % l2}]", "R", "D"),
         (f"p[{(x - 1) % l1},{(y - 1) % l2}]", "D", "L"),
         (f"p[{(x - 1) % l1},{y}]", "L", "U"),
-    ]
-    elems = {"U": g}
-    for pid, slot_from, slot_to in quadrants:
-        p = lat.plaquette(pid)
-        nxt = _solve_quadrant(
-            G,
-            p.word,
-            outcomes.get(pid, 0),
-            s.slots[slot_from],
-            elems[slot_from],
-            s.inbound[slot_from],
-            s.slots[slot_to],
-            s.inbound[slot_to],
-        )
-        if nxt is None:
-            return None
-        if slot_to == "U":
-            return elems if nxt == g else None
-        elems[slot_to] = nxt
-    raise AssertionError("walk must close at U")  # pragma: no cover
-
-
-def dressed_star(lat: QdLattice, G: FiniteGroup, sid: str, g: int,
-                 outcomes: dict) -> ConditionalMonomial | None:
-    elems = _star_walk(lat, G, sid, g, outcomes)
-    if elems is None:
+    )
+    elems, a = {}, g
+    for pid, known, nxt in quadrants:
+        word = lat.plaquette(pid).word
+        t = word.index(s.slots[known])
+        if abs(t - word.index(s.slots[nxt])) != 1:  # the reading's two ends
+            m = outcomes.get(pid, 0)
+            a = G.conjugate(a, G.inverse[m] if t == 0 else m)
+        elems[nxt] = a
+    if a != g:
         return None
     return star_operator(lat, G, sid, g, per_link=elems)
 

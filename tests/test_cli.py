@@ -30,9 +30,11 @@ def _read_report(path):
 
 
 def _one_error_line(capsys):
-    err = capsys.readouterr().err
+    """Assert stderr holds one ``error:`` line; return what stdout got."""
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    return out
 
 
 # --- group ---
@@ -135,15 +137,39 @@ def test_build_missing_graph_file_is_input_error(tmp_path):
                 "--graph", str(tmp_path / "missing.json")]) == 2
 
 
+def test_directory_inputs_are_input_errors(tmp_path, capsys):
+    assert run(["build", "--group", "Z2", "--graph", str(tmp_path)]) == 2
+    _one_error_line(capsys)
+    assert run(["group", "validate", "--name", str(tmp_path)]) == 2
+    _one_error_line(capsys)
+
+
+def test_unwritable_outputs_are_input_errors(tmp_path, capsys):
+    # the checks run, but no report is printed when it cannot be written
+    out = tmp_path / "missing" / "r.json"
+    assert run(["group", "validate", "--name", "Z2", "--json",
+                "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == ""
+    assert not out.exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["corpus", "--dump-graphs", str(blocker / "sub")]) == 2
+    assert _one_error_line(capsys) == ""
+
+
 def _graph_shapes():
     good = graph_to_json(line_graph(3, "e"))
     return [{**good, "vertices": None}, {**good, "edges": [1, 2]}, [1, 2]]
 
 
 def _group_shapes():
+    # json.dumps writes NaN and +-Infinity, which are not JSON
     good = group_to_json(builtin_group("Z2"))
     bad_irrep = {**good["irreps"][0], "matrices": 5}
-    return [{**good, "labels": None}, {**good, "irreps": [bad_irrep]}]
+    inf_dim = {**good["irreps"][0], "dim": float("inf")}
+    return [{**good, "labels": None}, {**good, "irreps": [bad_irrep]},
+            {**good, "order": float("inf")}, {**good, "order": -float("inf")},
+            {**good, "order": float("nan")}, {**good, "irreps": [inf_dim]}]
 
 
 @pytest.mark.parametrize("obj", _graph_shapes(),
@@ -156,7 +182,9 @@ def test_wrongly_shaped_graph_file_is_input_error(tmp_path, capsys, obj):
 
 
 @pytest.mark.parametrize("obj", _group_shapes(),
-                         ids=["null-labels", "int-matrices"])
+                         ids=["null-labels", "int-matrices", "infinite-order",
+                              "minus-infinite-order", "nan-order",
+                              "infinite-irrep-dim"])
 def test_wrongly_shaped_group_file_is_input_error(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))

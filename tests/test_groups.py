@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gcs.graphs import graph_to_json, line_graph, load_graph_file
 from gcs.groups import (
     builtin_group,
     catalog_digest,
@@ -12,6 +13,7 @@ from gcs.groups import (
     conjugacy_classes,
     group_from_json,
     group_to_json,
+    load_group_file,
     rep_direct_sum,
     rep_tensor,
     validate_group,
@@ -152,7 +154,7 @@ def test_rep_tensor_and_direct_sum_are_homomorphisms():
 def test_json_round_trip(name):
     G = builtin_group(name)
     obj = json.loads(json.dumps(group_to_json(G)))
-    H = group_from_json(obj, validate=True)
+    H = group_from_json(obj)
     assert H.name == G.name
     assert np.array_equal(H.table, G.table)
     assert H.labels == G.labels
@@ -166,10 +168,21 @@ def test_loader_rejects_corrupt_file():
     obj = group_to_json(G)
     obj["mul"][1] = 0  # break the identity row
     with pytest.raises(ValueError):
-        group_from_json(obj, validate=True)
-    # but loads with validation off
-    H = group_from_json(obj, validate=False)
-    assert H.order == 3
+        group_from_json(obj)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_file_loaders_refuse_non_json_constants(tmp_path, constant):
+    # Python's json reads these, but they are not JSON
+    text = json.dumps(group_to_json(builtin_group("Z2")))
+    path = tmp_path / "g.json"
+    path.write_text(text.replace('"order": 2', f'"order": {constant}'))
+    with pytest.raises(ValueError, match=f"{constant} is not a JSON value"):
+        load_group_file(str(path))
+    text = json.dumps(graph_to_json(line_graph(3, "e")))
+    path.write_text(text.replace('"id": "0"', f'"id": {constant}', 1))
+    with pytest.raises(ValueError, match=f"{constant} is not a JSON value"):
+        load_graph_file(str(path))
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -144,6 +144,7 @@ def test_sampling_is_seeded_and_consistent():
     b = measure(psi, "1", "group", rng=np.random.default_rng(42))
     assert a.outcome == b.outcome
     assert fidelity(a.post_state, b.post_state) == pytest.approx(1.0)
+    assert a.distribution == outcome_distribution(psi, "1", "group")
     with pytest.raises(ValueError, match="rng"):
         measure(psi, "1", "group")
 

@@ -239,7 +239,11 @@ def test_identity_outcomes_reduce_to_projection():
                 assert f.word.evaluate(S3, {}) == elems[slot]
 
 
-@pytest.mark.parametrize("gname,seed", [("Z2", 5), ("Z3", 6), ("S3", 7)])
+# S3 seeds 0 and 1 put a 3-cycle on a "v" star's end quadrant, where
+# m^-1 a m and m a m^-1 differ; D4 and Q8 cannot tell them apart (m^2 is
+# central in both)
+@pytest.mark.parametrize("gname,seed", [("Z2", 5), ("Z3", 6), ("S3", 7),
+                                        ("S3", 0), ("S3", 1)])
 def test_shifted_outcomes_verify(gname, seed):
     G = GROUPS[gname]
     lat = build_qd_lattice(2, 2)
@@ -312,9 +316,31 @@ def _oracle_pairs(lat, G, s, pid, slot_a, slot_b, m, psi):
     return pairs
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2), (4, 4), (6, 6)],
+                         ids=["2x2", "2x4", "4x2", "4x4", "6x6"])
+def test_quadrants_have_the_two_dressing_shapes(dims):
+    # dressed_star relies on these: neighbours in a reading (earlier leg
+    # outbound, later inbound) or its two ends (first inbound, last outbound)
+    lat = build_qd_lattice(*dims)
+    for s in lat.stars:
+        ends = []
+        for pid, fr, to in _quadrants_of(lat, s):
+            word = lat.plaquette(pid).word
+            first, last = sorted((fr, to), key=lambda k: word.index(s.slots[k]))
+            at = (word.index(s.slots[first]), word.index(s.slots[last]))
+            if at == (0, 3):
+                assert s.inbound[first] and not s.inbound[last]
+                ends.append((fr, to))
+            else:
+                assert at[1] - at[0] == 1
+                assert not s.inbound[first] and s.inbound[last]
+        assert ends == ([] if s.kind == "h" else [("R", "D"), ("D", "L")])
+
+
 @pytest.mark.parametrize("sid", ["s[0,0]", "s[1,0]"])
-def test_dressing_walk_matches_pairwise_oracle(sid):
-    G = S3
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8"])
+def test_dressing_walk_matches_pairwise_oracle(gname, sid):
+    G = builtin_group(gname)
     lat = build_qd_lattice(2, 2)
     rng = np.random.default_rng(23)
     outcomes = random_plaquette_outcomes(lat, G, rng)
