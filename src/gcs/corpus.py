@@ -42,7 +42,6 @@ class CorpusEntry:
     name: str
     graph: ClusterGraph
     groups: tuple  # paired group names
-    tags: tuple
 
 
 def general_small_graph() -> ClusterGraph:
@@ -105,34 +104,31 @@ def _paired_groups(g: ClusterGraph) -> tuple:
 def build_corpus() -> tuple:
     entries = []
 
-    def add(graph, tags, groups=None):
+    def add(graph, groups=None):
         entries.append(CorpusEntry(
             graph.name, graph,
             groups if groups is not None else _paired_groups(graph),
-            tuple(tags),
         ))
 
     three_e = line_graph(3, "e")
     three_o = line_graph(3, "o")
     add(ClusterGraph("line3e", three_e.vertices, three_e.edges,
-                     three_e.orderings), ["line"])
+                     three_e.orderings))
     add(ClusterGraph("line3o", three_o.vertices, three_o.edges,
-                     three_o.orderings), ["line"])
+                     three_o.orderings))
     for n in range(4, 9):
         pat = "e" if n % 2 == 0 else "o"
         g = line_graph(n, pat)
-        add(ClusterGraph(f"line{n}{pat}", g.vertices, g.edges, g.orderings),
-            ["line"])
+        add(ClusterGraph(f"line{n}{pat}", g.vertices, g.edges, g.orderings))
     for n in (4, 6, 8):
         g = ring_graph(n)
-        add(ClusterGraph(f"ring{n}", g.vertices, g.edges, g.orderings),
-            ["ring"])
-    add(general_small_graph(), ["general"])
-    add(_random_bipartite("random-small", 4, 3, 0, seed=20260501), ["random"])
-    add(_random_bipartite("random-medium", 8, 4, 0, seed=20260502), ["random"])
+        add(ClusterGraph(f"ring{n}", g.vertices, g.edges, g.orderings))
+    add(general_small_graph())
+    add(_random_bipartite("random-small", 4, 3, 0, seed=20260501))
+    add(_random_bipartite("random-medium", 8, 4, 0, seed=20260502))
     for dims in ((2, 2), (2, 4)):
         lat = build_qd_lattice(*dims)
-        add(qd_cluster_graph(lat), ["qd"], groups=_qd_groups(dims))
+        add(qd_cluster_graph(lat), groups=_qd_groups(dims))
     return tuple(entries)
 
 
@@ -143,14 +139,11 @@ def corpus_entry(name: str) -> CorpusEntry:
     raise KeyError(f"no corpus entry named {name!r}")
 
 
-def corpus_pairs(max_edges: int | None = None, groups=None,
-                 tags=None) -> tuple:
+def corpus_pairs(max_edges: int | None = None, groups=None) -> tuple:
     """(entry, group name) pairs, optionally filtered."""
     out = []
     for e in build_corpus():
         if max_edges is not None and len(e.graph.edges) > max_edges:
-            continue
-        if tags is not None and not set(tags) & set(e.tags):
             continue
         for gname in e.groups:
             if groups is not None and gname not in groups:

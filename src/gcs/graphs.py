@@ -17,6 +17,11 @@ from typing import Sequence
 from .groups import read_json_file
 from .states import MAX_SITES
 
+# a graph file's edge bound: an odd site's closed form sums over one
+# variable per pair of same-handed edges at a neighbour, E(E-1)/2 for E
+# parallel edges; the corpus tops out at 64 edges (qd2x4)
+MAX_EDGES = 128
+
 __all__ = [
     "Edge",
     "ClusterGraph",
@@ -29,6 +34,7 @@ __all__ = [
     "graph_from_json",
     "load_graph_file",
     "scramble_ordering",
+    "MAX_EDGES",
 ]
 
 
@@ -288,6 +294,9 @@ def graph_from_json(obj: dict) -> ClusterGraph:
         # every vertex is a register site: refuse before anything is built
         raise ValueError(f"graph has {len(obj['vertices'])} vertices, past "
                          f"the register's {MAX_SITES}-site limit")
+    if len(obj["edges"]) > MAX_EDGES:
+        raise ValueError(f"graph has {len(obj['edges'])} edges, past the "
+                         f"{MAX_EDGES}-edge limit")
     vertices = tuple((str(v["id"]), str(v["parity"])) for v in obj["vertices"])
     edges = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in obj["edges"])
     if "orderings" in obj:

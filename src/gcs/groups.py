@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,21 +68,20 @@ class FiniteGroup:
     inverse: np.ndarray  # (order,) int
     labels: tuple[str, ...]
     irreps: tuple[Irrep, ...]
-    label_index: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        # element indices fit int16 throughout (state keys already assume it),
-        # and narrow tables keep the vectorized gathers memory-light
+        # element indices fit int16 throughout, and narrow tables keep the
+        # vectorized gathers memory-light
         object.__setattr__(
             self, "table", np.ascontiguousarray(self.table, dtype=np.int16)
         )
         object.__setattr__(
             self, "inverse", np.ascontiguousarray(self.inverse, dtype=np.int16)
         )
-        if not self.label_index:
-            object.__setattr__(
-                self, "label_index", {lab: i for i, lab in enumerate(self.labels)}
-            )
+
+    @functools.cached_property
+    def label_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     # --- Element algebra ---
 
@@ -513,20 +512,34 @@ def _check_shape(obj) -> None:
             "irrep 'matrices' must hold one list of [re, im] pairs per element")
 
 
+def _integer(x, lo: int, hi: int, what: str) -> int:
+    """A group file's integer field as an int in lo..hi, checked before
+    any cast: a float must be integral and finite (``int`` would truncate
+    2.5 and overflow on 1e400), a JSON ``true`` is no number, and the range
+    keeps the int16 tables from wrapping.  Numerals such as "2" are read
+    by ``int``."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{what} {x!r} is not an integer")
+    n = int(x)
+    if not lo <= n <= hi:
+        raise ValueError(f"{what} {n} is outside {lo}..{hi}")
+    return n
+
+
 def group_from_json(obj: dict) -> FiniteGroup:
     _check_shape(obj)
-    n = int(obj["order"])
     # bound the sizes before any array is built from them
-    if not 1 <= n <= MAX_GROUP_ORDER:
-        raise ValueError(f"group order {n} is outside 1..{MAX_GROUP_ORDER}")
+    n = _integer(obj["order"], 1, MAX_GROUP_ORDER, "group order")
     if len(obj["mul"]) != n * n or len(obj["inv"]) != n:
         raise ValueError(f"group of order {n} needs {n * n} 'mul' and {n} "
                          "'inv' entries")
-    table = np.array(obj["mul"], dtype=int).reshape(n, n)
-    inverse = np.array(obj["inv"], dtype=int)
+    table = np.array([_integer(x, 0, n - 1, "'mul' entry") for x in obj["mul"]],
+                     dtype=int).reshape(n, n)
+    inverse = np.array([_integer(x, 0, n - 1, "'inv' entry") for x in obj["inv"]],
+                       dtype=int)
     irreps = []
     for r in obj.get("irreps", []):
-        d = int(r["dim"])
+        d = _integer(r["dim"], 1, n, "irrep dim")
         mats = np.array(
             [[complex(re, im) for re, im in row] for row in r["matrices"]]
         ).reshape(n, d, d)

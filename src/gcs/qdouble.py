@@ -39,7 +39,6 @@ from .states import (
     Register,
     SparseState,
     fidelity,
-    pack_codes,
     project_site,
     residual_norm,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "qd_stabilizers",
     "shifted_plaquette",
     "dressed_star",
-    "prepare_qd_state",
     "prepare_qd_with_measurement",
     "random_plaquette_outcomes",
     "z2_toric_reference",
@@ -231,7 +229,7 @@ def star_operator(lat: QdLattice, G: FiniteGroup, sid: str, g: int,
         val = g if per_link is None else per_link[slot]
         kind = "XL" if s.inbound[slot] else "XR"
         sites[s.slots[slot]] = (Factor(kind, Word.const(val)),)
-    return ConditionalMonomial(G, (), sites, 1.0)
+    return ConditionalMonomial(G, (), sites)
 
 
 def shifted_plaquette(lat: QdLattice, G: FiniteGroup, pid: str,
@@ -247,7 +245,7 @@ def shifted_plaquette(lat: QdLattice, G: FiniteGroup, pid: str,
     closing = Word.var(names[2], True).times(Word.var(names[1], True)) \
         .times(Word.var(names[0], True)).times(Word.const(m))
     sites[p.word[3]] = (Factor("T", closing),)
-    return ConditionalMonomial(G, tuple(names), sites, 1.0)
+    return ConditionalMonomial(G, tuple(names), sites)
 
 
 def qd_stabilizers(lat: QdLattice, G: FiniteGroup) -> dict:
@@ -294,12 +292,6 @@ def dressed_star(lat: QdLattice, G: FiniteGroup, sid: str, g: int,
 
 def _uniform_vec(n: int) -> np.ndarray:
     return np.full(n, 1 / np.sqrt(n))
-
-
-def prepare_qd_state(lat: QdLattice, G: FiniteGroup) -> SparseState:
-    """Ground state by projection: identity outcome on every plaquette."""
-    state, _ = prepare_qd_with_measurement(lat, G, {})
-    return state
 
 
 def prepare_qd_with_measurement(lat: QdLattice, G: FiniteGroup,
@@ -380,8 +372,8 @@ def z2_toric_reference(lat: QdLattice, G: FiniteGroup) -> SparseState:
             parity ^= bits[:, col[lid]]
         keep &= parity == 0
     amps = np.ones(int(keep.sum()), dtype=complex)
-    return SparseState(link_register(lat, G), pack_codes(bits[keep], 2),
-                       amps).normalized()
+    reg = link_register(lat, G)
+    return SparseState(reg, reg.encode(bits[keep]), amps).normalized()
 
 
 def _project_wilson_even(state: SparseState, lat: QdLattice) -> SparseState:
@@ -442,7 +434,7 @@ def _mini_star_operator(G: FiniteGroup, g: int) -> ConditionalMonomial:
         "W": (Factor("XL", Word.const(g)),),
         "E": (Factor("XL", Word.const(g)),),
     }
-    return ConditionalMonomial(G, (), sites, 1.0)
+    return ConditionalMonomial(G, (), sites)
 
 
 def _mini_prepare(G: FiniteGroup, red_vecs: dict) -> SparseState:
@@ -454,11 +446,12 @@ def _mini_prepare(G: FiniteGroup, red_vecs: dict) -> SparseState:
     return psi
 
 
-def conjugacy_class_projection_check(G: FiniteGroup, member: int,
-                                     tol: float = 1e-10) -> dict:
+def conjugacy_class_projection_check(G: FiniteGroup, member: int) -> dict:
     """Projecting the four quadrant holonomies onto a full conjugacy class
     keeps every uniform star element as a stabilizer; pinning them to
-    specific class members keeps only the centralizer of the outcome."""
+    specific class members keeps only the centralizer of the outcome.
+    Returns the class and the three residuals that show it (the outside
+    minimum is ``inf`` when the centralizer is the whole group)."""
     classes = conjugacy_classes(G)
     cls = next(c for c in classes if member in c)
     class_vec = np.zeros(G.order)
@@ -497,10 +490,4 @@ def conjugacy_class_projection_check(G: FiniteGroup, member: int,
         "residual_class_uniform": float(residual_class),
         "residual_centralizer": float(residual_centralizer),
         "min_residual_outside_centralizer": float(residual_outside),
-        "tol": tol,
-        "passed": bool(
-            residual_class <= tol
-            and residual_centralizer <= tol
-            and (np.isinf(residual_outside) or residual_outside > 1e-3)
-        ),
     }

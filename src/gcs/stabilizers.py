@@ -3,7 +3,7 @@
 A conditional monomial is a sum, over group-element assignments to some
 summation variables, of tensor products of site factors — projectors
 T(word), left/right multiplications Xl(word)/Xr(word), and diagonal
-representation weights Z(irrep, i, j) — times a global scalar.  Words are
+representation weights Z(irrep, i, j).  Words are
 formal products of variables (possibly inverted) and constants.  Every
 summation variable is pinned by a leading projector, so a monomial maps each
 basis vector to at most one basis vector (a row map).  A named letter the
@@ -53,7 +53,6 @@ __all__ = [
     "css_stabilizers",
     "verify",
     "operators_agree_on_basis",
-    "operators_agree_on_random_states",
     "stabilizers_agree_on_random_states",
 ]
 
@@ -156,7 +155,6 @@ class ConditionalMonomial:
     group: FiniteGroup
     variables: tuple  # summation variable names, each ranging over the group
     sites: dict  # site id -> tuple of Factor, index 0 applied first
-    scalar: complex = 1.0
     binding: dict = field(default_factory=dict)  # parameter -> element
     # the operator ``bind`` was called on; members of one family share it
     family: "ConditionalMonomial | None" = field(default=None, repr=False,
@@ -170,7 +168,6 @@ class ConditionalMonomial:
         if extra:
             raise ValueError("no parameters " + ", ".join(sorted(extra)))
         return ConditionalMonomial(family.group, family.variables, family.sites,
-                                   family.scalar,
                                    {k: int(v) for k, v in values.items()}, family)
 
     def support(self) -> tuple:
@@ -262,8 +259,6 @@ class ConditionalMonomial:
                 val = _mul(G, val, G.inverse[suffix.evaluate(G, env)])
             env[name] = G.inverse[val] if inverted else val
         out = codes
-        if self.scalar != 1.0:
-            amps = amps * self.scalar
         alive = None
         for site, factors in self.sites.items():
             old = digit = digits[site]
@@ -300,8 +295,6 @@ class ConditionalMonomial:
         bits = []
         if self.variables:
             bits.append("sum[" + ",".join(self.variables) + "]")
-        if self.scalar != 1.0:
-            bits.append(f"({self.scalar:g})*")
         for site in sorted(self.sites, key=str):
             for f in reversed(self.sites[site]):  # operator order: last applied first
                 if f.kind == "Z":
@@ -312,9 +305,9 @@ class ConditionalMonomial:
         return " ".join(bits) if bits else "1"
 
 
-def _monomial(G: FiniteGroup, variables, site_factors, scalar=1.0) -> ConditionalMonomial:
+def _monomial(G: FiniteGroup, variables, site_factors) -> ConditionalMonomial:
     sites = {s: tuple(fs) for s, fs in site_factors.items() if fs}
-    return ConditionalMonomial(G, tuple(variables), sites, scalar)
+    return ConditionalMonomial(G, tuple(variables), sites)
 
 
 # --- Stabilizer sets: dicts from label to ConditionalMonomial ---
@@ -435,8 +428,7 @@ def conjugate_by_cmult(op: ConditionalMonomial, control, target, sense: str,
         sites[control] = tuple(new_c)
     if new_t:
         sites[target] = tuple(new_t)
-    return ConditionalMonomial(op.group, tuple(new_vars), sites, op.scalar,
-                               op.binding)
+    return ConditionalMonomial(op.group, tuple(new_vars), sites, op.binding)
 
 
 def propagate(sched: GateSchedule, init: dict) -> dict:
@@ -730,11 +722,3 @@ def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,
             mine = sq[i * states:(i + 1) * states]
             out[label] = float(np.sqrt(mine.max())) if states else 0.0
     return {label: out[label] for label in a}
-
-
-def operators_agree_on_random_states(a: ConditionalMonomial, b: ConditionalMonomial,
-                                     register: Register, rng: np.random.Generator,
-                                     states: int = 50, keys_per_state: int = 200) -> float:
-    """Max over ``states`` seeded random states psi of ||a psi - b psi||."""
-    return stabilizers_agree_on_random_states(
-        {"": a}, {"": b}, register, rng, states, keys_per_state)[""]

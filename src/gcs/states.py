@@ -39,7 +39,6 @@ __all__ = [
     "rep_basis_state",
     "inner_product",
     "residual_norm",
-    "pack_codes",
     "merge_codes",
     "code_residuals",
     "fidelity",
@@ -53,7 +52,6 @@ __all__ = [
     "site_marginal",
     "sample_states",
     "random_state",
-    "random_states",
 ]
 
 PRUNE_TOL = 1e-14
@@ -120,6 +118,11 @@ class Register:
         p = self.place[self.axis(site)]
         return codes % (p * self.group.order) // p
 
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """One int64 code per row of digits (column c the digit at site c):
+        the inverse of ``digit_table(codes).T``.  Sorting codes sorts rows."""
+        return rows @ self.place
+
     def digit_table(self, codes: np.ndarray) -> np.ndarray:
         """(width, len(codes)) table of the codes' digits, row c the
         digits at site c, in the smallest unsigned type that holds them
@@ -183,7 +186,7 @@ class SparseState:
         if keys.size and not (0 <= keys.min() and keys.max() < register.group.order):
             # an out-of-range digit would alias another basis vector's code
             raise ValueError("basis key digits must lie in 0..|G|-1")
-        return cls(register, pack_codes(keys, register.group.order), amps)
+        return cls(register, register.encode(keys), amps)
 
     @classmethod
     def zero(cls, register: Register) -> "SparseState":
@@ -197,9 +200,8 @@ class SparseState:
 
     @property
     def keys(self) -> np.ndarray:
-        """(m, width) int16 digit rows of the codes, unpacked on each call."""
-        reg = self.register
-        return (self.codes[:, None] // reg.place % reg.group.order).astype(np.int16)
+        """(m, width) digit rows of the codes, decoded on each call."""
+        return self.register.digit_table(self.codes).T
 
     def items(self) -> Iterator[tuple[tuple, complex]]:
         for row, a in zip(self.keys, self.amps):
@@ -212,7 +214,7 @@ class SparseState:
         key = np.asarray(key, dtype=np.int64)
         if np.any((key < 0) | (key >= self.register.group.order)):
             return 0.0  # not a basis key
-        code = int(np.dot(key, self.register.place))
+        code = int(self.register.encode(key))
         i = np.searchsorted(self.codes, code)
         hit = i < len(self.codes) and self.codes[i] == code
         return complex(self.amps[i]) if hit else 0.0
@@ -250,15 +252,6 @@ class SparseState:
 def _check_same_register(a: SparseState, b: SparseState) -> None:
     if a.register.sites != b.register.sites or a.register.group.name != b.register.group.name:
         raise ValueError("states live on different registers")
-
-
-def pack_codes(keys: np.ndarray, order: int) -> np.ndarray:
-    """One int64 code per key row, the row read as base-``order`` digits
-    (first column most significant): sorting codes sorts rows."""
-    codes = np.zeros(keys.shape[0], dtype=np.int64)
-    for c in range(keys.shape[1]):
-        codes = codes * order + keys[:, c]
-    return codes
 
 
 def merge_codes(codes: np.ndarray, amps: np.ndarray):
@@ -360,17 +353,11 @@ def sample_states(register: Register, rng: np.random.Generator, count: int,
     return codes, amps / norms
 
 
-def random_states(register: Register, rng: np.random.Generator, count: int,
-                  n_keys: int = 200) -> list:
-    """The states ``sample_states`` draws, as a list."""
-    return [SparseState(register, codes, amps)
-            for codes, amps in zip(*sample_states(register, rng, count, n_keys))]
-
-
 def random_state(register: Register, rng: np.random.Generator,
                  n_keys: int = 200) -> SparseState:
     """One seeded random sparse state (see ``sample_states``)."""
-    return random_states(register, rng, 1, n_keys)[0]
+    codes, amps = sample_states(register, rng, 1, n_keys)
+    return SparseState(register, codes[0], amps[0])
 
 
 # --- Inner products and projections ---
@@ -477,11 +464,9 @@ def _bipartition_matrix(state: SparseState, part_a) -> np.ndarray:
     dim_a = reg.group.order ** len(part_a)
     if dim_a > RDM_CAP:
         raise ValueError(f"kept dimension {dim_a} exceeds cap {RDM_CAP}")
-    digits = {s: reg.digit(state.codes, s) for s in part_a}
-    row = np.zeros(len(state), dtype=np.int64)
-    for s in part_a:
-        row = row * reg.group.order + digits[s]
-    rest = state.codes - sum(reg.place_value(s, d) for s, d in digits.items())
+    digits = np.array([reg.digit(state.codes, s) for s in part_a])
+    row = Register(reg.group, tuple(part_a)).encode(digits.T)
+    rest = state.codes - sum(reg.place_value(s, d) for s, d in zip(part_a, digits))
     uniq, col = np.unique(rest, return_inverse=True)
     m = np.zeros((dim_a, len(uniq)), dtype=complex)
     np.add.at(m, (row, col), state.amps)

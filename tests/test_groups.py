@@ -171,6 +171,16 @@ def test_loader_rejects_corrupt_file():
         group_from_json(obj)
 
 
+def test_loader_reads_numerals_and_integral_floats():
+    # integer fields are checked before any cast, and int() reads "2" and 1.0
+    obj = group_to_json(builtin_group("Z2"))
+    obj.update(order="2", mul=["0", 1.0, 1, 0], inv=[0, "1"])
+    obj["irreps"][1]["dim"] = 1.0
+    H = group_from_json(obj)
+    assert H.order == 2 and H.irreps[1].dim == 1
+    assert H.table.tolist() == [[0, 1], [1, 0]] and H.inverse.tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_file_loaders_refuse_non_json_constants(tmp_path, constant):
     # Python's json reads these, but they are not JSON

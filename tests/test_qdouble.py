@@ -16,7 +16,6 @@ from gcs.qdouble import (
     conjugacy_class_projection_check,
     dressed_star,
     link_register,
-    prepare_qd_state,
     prepare_qd_with_measurement,
     qd_cluster_graph,
     random_plaquette_outcomes,
@@ -119,7 +118,7 @@ def test_cluster_graph_shape():
 def test_prepared_support_is_flat():
     lat = build_qd_lattice(2, 2)
     for G in (Z2, Z3):
-        psi = prepare_qd_state(lat, G)
+        psi = prepare_qd_with_measurement(lat, G)[0]
         reg = psi.register
         assert reg.sites == tuple(lk.id for lk in lat.links)
         for p in lat.plaquettes:
@@ -133,7 +132,7 @@ def test_prepared_support_is_flat():
 def test_z2_prepared_key_count():
     # 8 links, 3 independent parity constraints: 32 flat configurations
     lat = build_qd_lattice(2, 2)
-    psi = prepare_qd_state(lat, Z2)
+    psi = prepare_qd_with_measurement(lat, Z2)[0]
     assert len(psi) == 32
     mags = np.abs(psi.amps)
     assert np.max(mags) - np.min(mags) < 1e-12
@@ -146,7 +145,7 @@ def test_z2_prepared_key_count():
 def test_stabilizers_fix_ground_state_2x2(gname):
     G = GROUPS[gname]
     lat = build_qd_lattice(2, 2)
-    psi = prepare_qd_state(lat, G)
+    psi = prepare_qd_with_measurement(lat, G)[0]
     residuals = verify(qd_stabilizers(lat, G), psi)
     worst = max(residuals, key=residuals.get)
     assert residuals[worst] <= 1e-10, worst
@@ -154,7 +153,7 @@ def test_stabilizers_fix_ground_state_2x2(gname):
 
 def test_stabilizers_fix_ground_state_2x4_z2():
     lat = build_qd_lattice(2, 4)
-    psi = prepare_qd_state(lat, Z2)
+    psi = prepare_qd_with_measurement(lat, Z2)[0]
     residuals = verify(qd_stabilizers(lat, Z2), psi)
     worst = max(residuals, key=residuals.get)
     assert residuals[worst] <= 1e-10, worst
@@ -195,7 +194,7 @@ def test_star_plaquette_commutation():
 def test_toric_reference_matches_projection():
     for dims in [(2, 2), (2, 4)]:
         lat = build_qd_lattice(*dims)
-        psi = prepare_qd_state(lat, Z2)
+        psi = prepare_qd_with_measurement(lat, Z2)[0]
         assert sector_matched_fidelity(lat, psi) > 1 - 1e-10
 
 
@@ -220,8 +219,9 @@ def test_toric_reference_is_uniform_flat():
 
 def test_identity_outcomes_reduce_to_projection():
     lat = build_qd_lattice(2, 2)
-    psi = prepare_qd_state(lat, S3)
-    phi, stabs = prepare_qd_with_measurement(lat, S3, {})
+    psi = prepare_qd_with_measurement(lat, S3)[0]
+    identity = {p.id: S3.labels[0] for p in lat.plaquettes}
+    phi, stabs = prepare_qd_with_measurement(lat, S3, identity)
     assert fidelity(psi, phi) > 1 - 1e-12
     labels = list(stabs)
     # every plaquette projector and the full star family survive at m == e
@@ -281,8 +281,8 @@ def test_inconsistent_outcomes_annihilate():
 
 def test_preparation_is_deterministic():
     lat = build_qd_lattice(2, 2)
-    a = prepare_qd_state(lat, Z3)
-    b = prepare_qd_state(lat, Z3)
+    a = prepare_qd_with_measurement(lat, Z3)[0]
+    b = prepare_qd_with_measurement(lat, Z3)[0]
     assert np.array_equal(a.keys, b.keys)
     assert np.array_equal(a.amps, b.amps)
 
@@ -387,23 +387,32 @@ def test_h_star_plain_for_any_outcomes():
 # --- Single-vertex class phenomenology ---
 
 
+def _class_separated(report):
+    """The class keeps every star element, the centralizer fixes the
+    pinned state and every other element moves it (``inf``: none other)."""
+    return (report["residual_class_uniform"] <= 1e-10
+            and report["residual_centralizer"] <= 1e-10
+            and report["min_residual_outside_centralizer"] > 1e-3)
+
+
 def test_class_projection_keeps_all_star_elements():
     rep = S3.element("(123)")
-    report = conjugacy_class_projection_check(S3, rep, tol=1e-10)
-    assert report["passed"], report
+    report = conjugacy_class_projection_check(S3, rep)
+    assert set(report) == {"class", "residual_class_uniform",
+                           "residual_centralizer",
+                           "min_residual_outside_centralizer"}
     assert sorted(report["class"]) == sorted(["(123)", "(132)"])
-    assert report["residual_class_uniform"] <= 1e-10
-    assert report["residual_centralizer"] <= 1e-10
-    assert report["min_residual_outside_centralizer"] > 1e-3
+    assert _class_separated(report), report
 
 
 def test_class_projection_transposition_and_identity():
     rep = S3.element("(12)")
-    report = conjugacy_class_projection_check(S3, rep, tol=1e-10)
-    assert report["passed"], report
+    report = conjugacy_class_projection_check(S3, rep)
+    assert _class_separated(report), report
     assert len(report["class"]) == 3
-    ident = conjugacy_class_projection_check(S3, 0, tol=1e-10)
-    assert ident["passed"], ident
+    ident = conjugacy_class_projection_check(S3, 0)
+    assert ident["min_residual_outside_centralizer"] == np.inf
+    assert _class_separated(ident), ident
 
 
 def test_mismatched_pinning_annihilates():

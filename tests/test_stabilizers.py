@@ -36,8 +36,8 @@ from gcs.stabilizers import (
     css_stabilizers,
     initial_stabilizers,
     operators_agree_on_basis,
-    operators_agree_on_random_states,
     propagate,
+    stabilizers_agree_on_random_states,
     verify,
 )
 from gcs.stabilizers import _mul
@@ -46,14 +46,14 @@ from gcs.states import (
     SparseState,
     group_basis_state,
     random_state,
-    random_states,
     residual_norm,
+    sample_states,
 )
 
 
-def mono(G, variables, sites, scalar=1.0):
+def mono(G, variables, sites):
     return ConditionalMonomial(G, tuple(variables),
-                               {s: tuple(fs) for s, fs in sites.items()}, scalar)
+                               {s: tuple(fs) for s, fs in sites.items()})
 
 
 def dense_cmult(G, sense):
@@ -236,12 +236,10 @@ def test_every_derived_operator_is_a_row_map():
                 assert len(op.apply(zero)) == 0, op.pretty()
 
 
-def test_apply_scalar_and_missing_site_error():
+def test_apply_missing_site_error():
     G = builtin_group("Z3")
     reg = Register(G, ("a",))
-    op = mono(G, (), {"a": [Factor("T", Word.const(1))]}, scalar=2.5)
     psi = group_basis_state(reg, (1,))
-    assert op.apply(psi).amplitude((1,)) == 2.5
     stray = mono(G, (), {"zz": [Factor("T", Word())]})
     with pytest.raises(KeyError):
         stray.apply(psi)
@@ -261,8 +259,6 @@ def test_pretty_golden_strings():
         "sum[g_e0,g_e3] T[0:(g_e3 g_e0^-1)] T[1:(g_e0)] T[3:(g_e3)]"
     assert closed_form_odd(ring, G, "1", 1).pretty() == \
         "Xr[0:((123))] Xl[1:((123))] Xl[2:((123))]"
-    scaled = mono(G, (), {"0": [Factor("T", Word())]}, scalar=0.5)
-    assert scaled.pretty() == "(0.5)* T[0:(e)]"
 
 
 def test_pretty_shows_operator_order_last_applied_first():
@@ -392,8 +388,9 @@ def test_a_bound_member_is_the_constant_operator(gname):
                 if G.order ** len(support) <= 4096:
                     assert operators_agree_on_basis(a, b, reg) < 1e-12, label
                 else:  # o1 reaches five sites
-                    assert operators_agree_on_random_states(
-                        a, b, reg, rng, states=4, keys_per_state=256) < 1e-12
+                    assert stabilizers_agree_on_random_states(
+                        {"": a}, {"": b}, reg, rng, states=4,
+                        keys_per_state=256)[""] < 1e-12
     psi = build_cluster_state(g, G)
     for unbound in (closed_form_odd(g, G, "o1"),
                     mono(G, (), {"o1": [Factor("XL", Word.var("x"))]})):
@@ -461,7 +458,8 @@ def test_word_evaluation_agrees_past_the_int16_flat_index():
 
 def _route_loop(a, b, reg, seed, states, keys):
     # the states the batched check draws, one residual_norm each
-    psis = random_states(reg, np.random.default_rng(seed), states, keys)
+    psis = [SparseState(reg, c, a) for c, a in
+            zip(*sample_states(reg, np.random.default_rng(seed), states, keys))]
     return [residual_norm(a.apply(p), b.apply(p)) for p in psis], psis
 
 
@@ -487,8 +485,8 @@ def _z2_line61():
 def test_batched_route_check_matches_per_state_loop(case):
     reg, a, b = case()
     loop, _ = _route_loop(a, b, reg, 5, 5, 64)
-    batched = operators_agree_on_random_states(
-        a, b, reg, np.random.default_rng(5), states=5, keys_per_state=64)
+    batched = stabilizers_agree_on_random_states(
+        {"": a}, {"": b}, reg, np.random.default_rng(5), 5, 64)[""]
     assert batched == pytest.approx(max(loop), rel=1e-12)
     assert batched > 0.1
 
@@ -515,14 +513,17 @@ def test_batched_route_check_catches_a_one_state_mismatch():
     seen = {tuple(k) for p in psis[:-1] for k in p.keys.tolist()}
     key = next(tuple(k) for k in psis[-1].keys.tolist() if tuple(k) not in seen)
     proj = {s: [Factor("T", Word.const(d))] for s, d in zip(reg.sites, key)}
-    a, b = mono(G, (), proj), mono(G, (), proj, scalar=0.0)
+    a = mono(G, (), proj)
+    # a projector onto two digits at once: the zero operator
+    b = mono(G, (), {reg.sites[0]: [Factor("T", Word.const(0)),
+                                    Factor("T", Word.const(1))]})
     loop, _ = _route_loop(a, b, reg, 9, 5, 64)
     assert loop[:-1] == [0.0] * 4 and loop[-1] > 0
-    batched = operators_agree_on_random_states(
-        a, b, reg, np.random.default_rng(9), states=5, keys_per_state=64)
+    batched = stabilizers_agree_on_random_states(
+        {"": a}, {"": b}, reg, np.random.default_rng(9), 5, 64)[""]
     assert batched == pytest.approx(loop[-1], rel=1e-12)
-    assert operators_agree_on_random_states(
-        a, a, reg, np.random.default_rng(9), states=5, keys_per_state=64) == 0.0
+    assert stabilizers_agree_on_random_states(
+        {"": a}, {"": a}, reg, np.random.default_rng(9), 5, 64)[""] == 0.0
 
 
 # --- Frozen small stabilizers ---

@@ -6,7 +6,7 @@ import pytest
 from gcs.builder import build_cluster_state
 from gcs.cli import run
 from gcs.graphs import graph_to_json, line_graph, scramble_ordering
-from gcs.groups import builtin_group, catalog_names
+from gcs.groups import FiniteGroup, builtin_group, catalog_names
 from gcs.stabilizers import ConditionalMonomial, Factor, Word
 from gcs.states import (
     DENSE_CAP,
@@ -18,10 +18,8 @@ from gcs.states import (
     fidelity,
     group_basis_state,
     inner_product,
-    pack_codes,
     project_site,
     random_state,
-    random_states,
     sample_states,
     reduced_density_matrix,
     rep_basis_order,
@@ -40,9 +38,9 @@ def reg(name, *sites):
     return Register(builtin_group(name), tuple(sites))
 
 
-def act(state, site, *factors, scalar=1.0):
+def act(state, site, *factors):
     """Apply the factors at one site (index 0 first) as a monomial."""
-    op = ConditionalMonomial(state.register.group, (), {site: factors}, scalar)
+    op = ConditionalMonomial(state.register.group, (), {site: factors})
     return op.apply(state)
 
 
@@ -168,7 +166,7 @@ def test_t_reconstruction_from_zreps():
                 for i in range(irr.dim):
                     for j in range(irr.dim):
                         coeff = irr.dim * np.conj(irr.matrices[g, i, j]) / G.order
-                        acc = acc.add(act(s, "x", z(irr, i, j), scalar=coeff))
+                        acc = acc.add(act(s, "x", z(irr, i, j)).scaled(coeff))
             diff = acc.add(want.scaled(-1.0))
             assert diff.norm() < TOL
 
@@ -395,35 +393,57 @@ def test_register_width_limit():
 
 def test_random_states_draws_distinct_canonical_states():
     r = reg("S3", *"abcdef")
-    states = random_states(r, np.random.default_rng(4), 5, 64)
-    assert len(states) == 5
-    assert len({s.codes.tobytes() for s in states}) == 5
-    for s in states:
-        assert len(s) == 64 and abs(s.norm() - 1.0) < TOL
-        assert np.array_equal(SparseState(r, s.codes, s.amps).codes, s.codes)
-    # the sampler's rows are those states, canonical as drawn
     codes, amps = sample_states(r, np.random.default_rng(4), 5, 64)
     assert codes.shape == amps.shape == (5, 64)
-    for s, c, a in zip(states, codes, amps):
+    assert len({c.tobytes() for c in codes}) == 5
+    for c, a in zip(codes, amps):
+        s = SparseState(r, c, a)
+        assert abs(s.norm() - 1.0) < TOL
+        # canonical as drawn
         assert np.array_equal(s.codes, c) and np.array_equal(s.amps, a)
+    # one state draws its codes as the sampler's first row
+    s = random_state(r, np.random.default_rng(4), 64)
+    assert np.array_equal(s.codes, codes[0])
 
 
-def test_pack_codes_matches_digit_loop():
+def test_encode_matches_digit_loop():
     rng = np.random.default_rng(8)
-    keys = rng.integers(0, 6, size=(20000, 9)).astype(np.int16)  # several blocks
+    keys = rng.integers(0, 6, size=(20000, 9)).astype(np.uint8)  # several blocks
     want = np.zeros(len(keys), dtype=np.int64)
     for c in range(keys.shape[1]):
         want = want * 6 + keys[:, c]
-    assert np.array_equal(pack_codes(keys, 6), want)
     r = Register(builtin_group("S3"), tuple(range(9)))
+    assert np.array_equal(r.encode(keys), want)
+    assert r.encode(keys).dtype == np.int64
     for c in range(9):
         assert np.array_equal(r.digit(want, c), keys[:, c])
+
+
+def _codec_groups():
+    n = 200  # a flat table index past int16
+    idx = np.arange(n)
+    z200 = FiniteGroup("Z200", n, (idx[:, None] + idx[None, :]) % n,
+                       (-idx) % n, tuple(map(str, idx)), ())
+    z1 = FiniteGroup("Z1", 1, [[0]], [0], ("e",), ())
+    return [builtin_group(name) for name in catalog_names()] + [z1, z200]
+
+
+@pytest.mark.parametrize("G", _codec_groups(), ids=lambda G: G.name)
+def test_encode_inverts_digit_table(G):
+    r = Register(G, tuple(range(7)))
+    codes = np.unique(np.random.default_rng(G.order).integers(
+        0, r.dimension, size=300))
+    table = r.digit_table(codes)
+    assert np.array_equal(r.encode(table.T), codes)
+    s = SparseState(r, codes, np.ones(len(codes)))
+    assert s.keys.dtype == table.dtype and np.array_equal(s.keys, table.T)
+    assert s.to_dict() == {tuple(map(int, row)): 1.0 for row in table.T}
 
 
 def test_register_digit_arithmetic():
     r = reg("S3", "a", "b", "c")
     keys = np.indices((6, 6, 6)).reshape(3, -1).T
-    codes = pack_codes(keys, 6)
+    codes = r.encode(keys)
     assert np.array_equal(codes, np.arange(216))
     assert list(r.place) == [36, 6, 1]
     # a block offset (a multiple of the dimension) leaves every digit alone
@@ -437,11 +457,11 @@ def test_register_digit_arithmetic():
     # dropping a site gives the codes of the reduced register
     for c, site in enumerate("abc"):
         rest = np.delete(keys, c, axis=1)
-        assert np.array_equal(r.without(codes, site), pack_codes(rest, 6))
+        assert np.array_equal(r.without(codes, site), r.drop(site).encode(rest))
     # the key rows are derived from the codes on demand
     s = SparseState(r, codes[::-1], np.ones(216))
     assert np.array_equal(s.codes, codes)
-    assert s.keys.dtype == np.int16 and np.array_equal(s.keys, keys)
+    assert s.keys.dtype == np.uint8 and np.array_equal(s.keys, keys)
     # a digit past |G| - 1 would alias another code: refused, not read
     with pytest.raises(ValueError):
         SparseState.from_dict(r, {(0, 6, 0): 1.0})
