@@ -218,6 +218,9 @@ def validate_irreps(G: FiniteGroup, irreps: Sequence[Irrep] | None = None) -> Va
                 s = s - expect
             ortho = max(ortho, float(np.abs(s).max()))
     res["orthogonality"] = ortho
+    if len({r.label for r in rs}) != len(rs):
+        # FiniteGroup.irrep and the rep-basis outcomes name irreps by label
+        bad.append("irrep labels must be unique")
     total = sum(r.dim**2 for r in rs)
     if total != n:
         bad.append(f"completeness violation: sum of dim^2 = {total} != {n}")
@@ -484,8 +487,9 @@ def group_to_json(G: FiniteGroup) -> dict:
 def _check_shape(obj) -> None:
     """Raise ValueError unless ``obj`` has a group file's JSON shape: an
     object with a number "order", number lists "mul" and "inv", a list of
-    "labels" and an optional list of "irreps", each an object with a number
-    "dim" and "matrices" holding one list of [re, im] pairs per element."""
+    "labels" and an optional list of "irreps", each an object with a string
+    or number "label", a number "dim" and "matrices" holding one list of
+    [re, im] pairs per element."""
     scalar = (int, float, str)  # what int() reads: numbers and numerals
 
     def need(ok: bool, what: str) -> None:
@@ -503,6 +507,9 @@ def _check_shape(obj) -> None:
     irreps = obj.get("irreps", [])
     need(listed(irreps, dict), "'irreps' must be a list of objects")
     for r in irreps:
+        label = r.get("label")
+        need(isinstance(label, scalar) and not isinstance(label, bool),
+             "irrep 'label' must be a string or number")
         need(isinstance(r.get("dim"), scalar), "irrep 'dim' must be a number")
         mats = r.get("matrices")
         need(listed(mats, list) and all(

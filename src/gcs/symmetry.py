@@ -10,6 +10,18 @@ the 1/d normalization).
 Both operators need every even site to carry exactly one inward and one
 outward edge on a single closed cycle; anything else (open chains, branch
 vertices, uniformly oriented rings) is rejected.
+
+``verify_symmetry_algebra`` checks the families' algebra in stacked passes,
+as ``stabilizers.verify`` checks a stabilizer family.  The odd operators are
+one family in ``stabilizers.PARAM``; each state's element pairs act on
+copies of the state stacked at offsets of the register's dimension, in the
+passes of ``stabilizers._passes``, with x bound per row.  The even weights
+of every irrep, tensor product and direct sum are computed once per state,
+reps of one dimension sharing one chain of matrix products, and each law
+instance is one more block of a stack.  Each block's residual is summed as
+``residual_norm`` sums a single pair of states, so for any group (whose
+right multiplications permute the basis) the stacked residuals equal the
+operator-by-operator ones bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +30,16 @@ import numpy as np
 
 from .graphs import ClusterGraph
 from .groups import FiniteGroup, Irrep, rep_direct_sum, rep_tensor
-from .stabilizers import ConditionalMonomial, Factor, Word
-from .states import Register, SparseState, random_state, residual_norm
+from .stabilizers import (BLOCK_ROWS, PARAM, ConditionalMonomial, Factor,
+                          Word, _passes)
+from .states import (
+    PRUNE_TOL,
+    Register,
+    SparseState,
+    code_residuals,
+    merge_codes,
+    random_state,
+)
 
 __all__ = [
     "ring_even_cycle",
@@ -71,12 +91,13 @@ def ring_even_cycle(g: ClusterGraph) -> tuple:
 def apply_u_odd(state: SparseState, g: ClusterGraph, x: int) -> SparseState:
     """Right-multiply every odd digit by x^-1 (the odd global symmetry)."""
     ring_even_cycle(g)
-    return _u_odd(state.register.group, g, x).apply(state)
+    return _u_odd(state.register.group, g).bind({PARAM: x}).apply(state)
 
 
-def _u_odd(G: FiniteGroup, g: ClusterGraph, x: int) -> ConditionalMonomial:
-    """Xr(x) on every odd site of ``g``."""
-    factor = (Factor("XR", Word.const(x)),)
+def _u_odd(G: FiniteGroup, g: ClusterGraph) -> ConditionalMonomial:
+    """Xr(x) on every odd site of ``g``: one family in ``PARAM``, as the
+    odd-site stabilizers K_w^x are."""
+    factor = (Factor("XR", Word.var(PARAM)),)
     return ConditionalMonomial(G, (), {w: factor for w in g.odd_vertices})
 
 
@@ -100,14 +121,58 @@ def apply_u_even(state: SparseState, g: ClusterGraph, irrep,
 def _u_even(state: SparseState, cycle, rep: Irrep,
             normalized: bool) -> SparseState:
     reg = state.register
-    prod = rep.matrices[reg.digit(state.codes, cycle[0])]
-    for v in cycle[1:]:
-        prod = prod @ rep.matrices[reg.digit(state.codes, v)]
-    coeff = np.einsum("mii->m", prod)
+    digits = np.array([reg.digit(state.codes, v) for v in cycle])
+    coeff = _trace_weights((rep,), digits)[0]
     if normalized:
         coeff = coeff / rep.dim
     # the codes keep their order, so the constructor only prunes zero weights
     return SparseState(reg, state.codes, state.amps * coeff)
+
+
+def _trace_weights(reps, digits: np.ndarray) -> np.ndarray:
+    """(len(reps), rows): tr prod_s rep(digits[s]) for each rep and row,
+    the product taken down ``digits`` (one row of digits per cycle site, in
+    cycle order).  The reps of one dimension share one chain of stacked
+    matrix products, which gives each rep and row the product its own chain
+    would; a link holds at most ``BLOCK_ROWS`` matrix entries, as the direct
+    sums of a large group's irreps are large matrices."""
+    rows = digits.shape[1]
+    out = np.empty((len(reps), rows), dtype=complex)
+    for dim in {r.dim for r in reps}:
+        same = [i for i, r in enumerate(reps) if r.dim == dim]
+        step = max(1, BLOCK_ROWS // max(rows * dim * dim, 1))
+        for lo in range(0, len(same), step):
+            which = same[lo:lo + step]
+            mats = np.stack([reps[i].matrices for i in which])
+            prod = mats[:, digits[0]]
+            for row in digits[1:]:
+                prod = prod @ mats[:, row]
+            out[which] = np.einsum("mii->m", prod.reshape(-1, dim, dim)).reshape(
+                len(which), -1)
+    return out
+
+
+def _offsets(codes: np.ndarray, blocks: int, dim: int) -> np.ndarray:
+    """(blocks, len(codes)): row j holds ``codes`` offset by dim * j."""
+    return codes + dim * np.arange(blocks)[:, None]
+
+
+def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
+    """||lhs_j - rhs_j||^2 for each block j of two canonical stacks of
+    (codes, amps), block j at offset dim * j.  A block's terms are summed
+    by one ``np.sum`` in the order ``code_residuals`` gives them for that
+    block alone, so each value is the sum whose square root
+    ``residual_norm(lhs_j, rhs_j)`` returns, bit for bit."""
+    codes, sq = code_residuals(*lhs, *rhs)
+    block = codes // dim
+    sq = sq[np.argsort(block, kind="stable")]
+    counts = np.bincount(block, minlength=blocks)
+    starts = np.cumsum(counts) - counts
+    sums = np.empty(blocks)
+    for size in set(counts.tolist()):  # an empty block sums to 0.0
+        which = np.flatnonzero(counts == size)
+        sums[which] = np.sum(sq[starts[which, None] + np.arange(size)], axis=1)
+    return sums
 
 
 def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
@@ -123,44 +188,108 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
     cycle = ring_even_cycle(g)
     rng = rng or np.random.default_rng(0)
     reg = Register(G, g.vertex_ids)
-    checks: dict[str, float] = {
-        "odd_composition": 0.0,
-        "odd_identity": 0.0,
-        "even_trivial_identity": 0.0,
-        "even_tensor": 0.0,
-        "even_direct_sum": 0.0,
-        "odd_even_commutation": 0.0,
-    }
     n = G.order
     pairs = [(a, b) for a in range(n) for b in range(n)]
     if len(pairs) > 36:
         idx = rng.choice(len(pairs), size=36, replace=False)
         pairs = [pairs[i] for i in idx]
-    irrep_pairs = [(r1, r2, rep_tensor(r1, r2), rep_direct_sum(r1, r2))
-                   for r1 in G.irreps for r2 in G.irreps]
-    u_odd = [_u_odd(G, g, x) for x in range(n)]
-
-    def odd(state, x):
-        return u_odd[x].apply(state)
-
-    def even(state, rep):
-        return _u_even(state, cycle, rep, normalized=False)
-
-    def note(name, lhs, rhs):
-        checks[name] = max(checks[name], residual_norm(lhs, rhs))
-
-    for _ in range(states):
-        psi = random_state(reg, rng, 40).normalized()
-        for a, b in pairs:
-            note("odd_composition", odd(odd(psi, b), a), odd(psi, G.table[a, b]))
-        note("odd_identity", odd(psi, 0), psi)
-        note("even_trivial_identity", even(psi, G.irreps[0]), psi)
-        for r1, r2, r12, r1_r2 in irrep_pairs:
-            note("even_tensor", even(psi, r12), even(even(psi, r1), r2))
-            note("even_direct_sum", even(psi, r1_r2),
-                 even(psi, r1).add(even(psi, r2)))
-        for x in {1 % n, n - 1}:
-            for r in G.irreps:
-                note("odd_even_commutation", even(odd(psi, x), r),
-                     odd(even(psi, r), x))
+    psis = [random_state(reg, rng, 40).normalized() for _ in range(states)]
+    pair_reps = [(i, j, rep_tensor(r1, r2), rep_direct_sum(r1, r2))
+                 for i, r1 in enumerate(G.irreps)
+                 for j, r2 in enumerate(G.irreps)]
+    odd = _u_odd(G, g)
+    checks = dict.fromkeys(("odd_composition", "odd_identity",
+                            "even_trivial_identity", "even_tensor",
+                            "even_direct_sum", "odd_even_commutation"), 0.0)
+    xs = np.array(sorted({1 % n, n - 1}))  # the commutation law's elements
+    for psi in psis:
+        for law, sq in _state_residuals(psi, odd, cycle, pairs, pair_reps, xs):
+            if len(sq):
+                checks[law] = max(checks[law], float(np.sqrt(sq.max())))
     return checks
+
+
+def _state_residuals(psi: SparseState, odd: ConditionalMonomial, cycle,
+                     pairs: list, pair_reps: list, xs: np.ndarray):
+    """Yield (law, squared residual per block) for one state: a block per
+    element pair, irrep pair, or (x, irrep) of the law's instances."""
+    reg = psi.register
+    G, dim, m = reg.group, reg.dimension, len(psi)
+    c, A = psi.codes, psi.amps
+    table = reg.digit_table(c)
+    odd_digits = {w: table[reg.axis(w)] for w in odd.sites}
+
+    def act(codes, amps, x, rows=None):
+        """The odd family on stacked rows, with x per row; ``rows`` are the
+        rows of psi the stack copies, whose digits are read already."""
+        digits = None if rows is None else {w: d[rows]
+                                            for w, d in odd_digits.items()}
+        return odd.act_rows(reg, codes, amps, {PARAM: x}, digits)
+
+    # odd composition, odd(odd(psi, b), a) against odd(psi, ab), one block
+    # per pair; the identity law, odd(psi, 0) against psi, is the last block
+    a, b = np.array(pairs).T
+    first = np.append(b, 0)
+    for lo, hi in _passes(len(pairs) + 1, m, dim):
+        k = min(hi, len(pairs)) - lo  # pair blocks in this pass
+        rows = np.tile(np.arange(m), hi - lo)
+        codes, amps = _offsets(c, hi - lo, dim).ravel(), A[rows]
+        once = act(codes, amps, np.repeat(first[lo:hi], m), rows)
+        twice = act(once[0][:k * m], once[1][:k * m],
+                    np.repeat(a[lo:lo + k], m))
+        ab = act(codes[:k * m], amps[:k * m],
+                 np.repeat(G.table[a[lo:lo + k], b[lo:lo + k]], m),
+                 rows[:k * m])
+        sq = _block_sums(
+            merge_codes(np.concatenate([twice[0], once[0][k * m:]]),
+                        np.concatenate([twice[1], once[1][k * m:]])),
+            merge_codes(np.concatenate([ab[0], codes[k * m:]]),
+                        np.concatenate([ab[1], amps[k * m:]])),
+            dim, hi - lo)
+        yield "odd_composition", sq[:k]
+        yield "odd_identity", sq[k:]
+
+    # every irrep's weights on psi and on each odd(psi, x), read once
+    cyc = table[[reg.axis(v) for v in cycle]]
+    phi_codes, phi_amps = act(np.tile(c, len(xs)), np.tile(A, len(xs)),
+                              np.repeat(xs, m), np.tile(np.arange(m), len(xs)))
+    phi_cyc = np.array([reg.digit(phi_codes, v) for v in cycle])
+    weights = _trace_weights(G.irreps, np.concatenate([cyc, phi_cyc], axis=1))
+    v = A * weights[:, :m]  # even(psi, r) before its zero weights are pruned
+    kept = np.abs(v) > PRUNE_TOL
+
+    yield "even_trivial_identity", _block_sums(merge_codes(c, v[0]), (c, A),
+                                               dim, 1)
+
+    # tensor and direct-sum laws, one block per ordered irrep pair
+    for lo, hi in _passes(len(pair_reps), m, dim):
+        chunk = pair_reps[lo:hi]
+        k = hi - lo
+        i1 = np.array([p[0] for p in chunk])
+        i2 = np.array([p[1] for p in chunk])
+        w = _trace_weights([p[2] for p in chunk] + [p[3] for p in chunk], cyc)
+        grid = _offsets(c, k, dim)
+        k1, k2 = kept[i1], kept[i2]
+        yield "even_tensor", _block_sums(
+            merge_codes(grid.ravel(), (A * w[:k]).ravel()),
+            merge_codes(grid[k1], (v[i1] * weights[i2, :m])[k1]), dim, k)
+        yield "even_direct_sum", _block_sums(
+            merge_codes(grid.ravel(), (A * w[k:]).ravel()),
+            merge_codes(np.concatenate([grid[k1], grid[k2]]),
+                        np.concatenate([v[i1][k1], v[i2][k2]])), dim, k)
+
+    # commutation, even(odd(psi, x), r) against odd(even(psi, r), x), one
+    # block per (x, r)
+    blocks = [(t, r) for t in range(len(xs)) for r in range(len(G.irreps))]
+    for lo, hi in _passes(len(blocks), m, dim):
+        t, r = np.array(blocks[lo:hi]).T
+        k = hi - lo
+        phi_rows = t[:, None] * m + np.arange(m)
+        lhs = merge_codes(
+            (phi_codes[phi_rows] + dim * np.arange(k)[:, None]).ravel(),
+            (phi_amps[phi_rows] * weights[r[:, None], m + phi_rows]).ravel())
+        mask = kept[r]
+        rhs = merge_codes(*act(_offsets(c, k, dim)[mask], v[r][mask],
+                               np.repeat(xs[t], mask.sum(axis=1)),
+                               np.nonzero(mask)[1]))
+        yield "odd_even_commutation", _block_sums(lhs, rhs, dim, k)

@@ -54,6 +54,32 @@ def test_unknown_group_is_input_error(capsys):
     assert "cannot load group" in capsys.readouterr().err
 
 
+def _z2_file(tmp_path, change):
+    """A Z2 group file with its second irrep object edited by ``change``."""
+    obj = group_to_json(builtin_group("Z2"))
+    change(obj["irreps"][1])
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: r.update(label="w0"), "irrep labels must be unique"),
+    (lambda r: r.pop("label"), "irrep 'label' must be a string or number"),
+])
+def test_bad_irrep_labels_are_input_errors(tmp_path, capsys, change, message):
+    group = _z2_file(tmp_path, change)
+    graph = _write_graph(tmp_path, line_graph(3, "e"))
+    for argv in (["group", "validate", "--name", group],
+                 ["measure", "--group", group, "--graph", graph,
+                  "--site", "1", "--basis", "rep"],
+                 ["symmetry", "--group", group, "--ring", "4"]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
+
 def test_group_digest_follows_catalog_precedence(tmp_path, monkeypatch, capsys):
     # a file named like a catalog group does not shadow the catalog entry,
     # so the report carries the catalog group's canonical digest

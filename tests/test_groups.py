@@ -171,6 +171,29 @@ def test_loader_rejects_corrupt_file():
         group_from_json(obj)
 
 
+def test_loader_rejects_repeated_irrep_labels():
+    # FiniteGroup.irrep finds irreps by label, so a repeat would hide one
+    obj = group_to_json(builtin_group("Z2"))
+    obj["irreps"][1]["label"] = obj["irreps"][0]["label"]
+    with pytest.raises(ValueError, match="irrep labels must be unique"):
+        group_from_json(obj)
+    G = builtin_group("S3")
+    rep = validate_irreps(G, (G.irreps[0], G.irreps[1], G.irreps[1]))
+    assert "irrep labels must be unique" in rep.violations
+
+
+@pytest.mark.parametrize("label", [None, True, [1], {"a": 1}])
+def test_loader_requires_an_irrep_label(label):
+    obj = group_to_json(builtin_group("Z2"))
+    if label is None:
+        del obj["irreps"][1]["label"]
+    else:
+        obj["irreps"][1]["label"] = label
+    with pytest.raises(ValueError,
+                       match="irrep 'label' must be a string or number"):
+        group_from_json(obj)
+
+
 def test_loader_reads_numerals_and_integral_floats():
     # integer fields are checked before any cast, and int() reads "2" and 1.0
     obj = group_to_json(builtin_group("Z2"))

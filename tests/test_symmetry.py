@@ -9,7 +9,8 @@ import pytest
 from gcs.builder import build_cluster_state
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph
 from gcs import symmetry
-from gcs.groups import builtin_group, rep_direct_sum, rep_tensor
+from gcs.groups import (FiniteGroup, builtin_group, catalog_names,
+                        rep_direct_sum, rep_tensor)
 from gcs.states import Register, fidelity, random_state, residual_norm
 from gcs.symmetry import (
     apply_u_even,
@@ -150,7 +151,8 @@ def test_odd_symmetry_matches_digit_loop():
 
 def _algebra_via_public_operators(g, G, rng, states):
     """verify_symmetry_algebra's residuals, taken with the public operators
-    that validate the ring on every call."""
+    that validate the ring on every call: the per-state reference, one
+    operator call per state, element pair and irrep."""
     checks = dict.fromkeys(("odd_composition", "odd_identity",
                             "even_trivial_identity", "even_tensor",
                             "even_direct_sum", "odd_even_commutation"), 0.0)
@@ -208,3 +210,31 @@ def test_algebra_validates_the_ring_once(n, gname, monkeypatch):
     want = _algebra_via_public_operators(g, G, np.random.default_rng(n), 3)
     assert report == want
     assert max(report.values()) <= 1e-10
+
+
+@pytest.mark.parametrize("states", [1, 5])
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("gname", catalog_names())
+def test_stacked_algebra_matches_the_per_state_reference(gname, n, states):
+    # the stacked passes sum every residual as the per-operator path does,
+    # so even the rounding-level tensor and direct-sum residuals agree
+    G = builtin_group(gname)
+    g = ring_graph(n)
+    report = verify_symmetry_algebra(g, G, rng=np.random.default_rng(n),
+                                     states=states)
+    assert report == _algebra_via_public_operators(
+        g, G, np.random.default_rng(n), states)
+    assert max(report.values()) <= 1e-10
+
+
+def test_corrupted_table_breaks_odd_composition():
+    # Z3 with one wrong product: right multiplication no longer composes
+    # as the table says, and the stacked check must see it
+    Z3 = builtin_group("Z3")
+    table = Z3.table.copy()
+    table[1, 2] = 1
+    G = FiniteGroup("Z3-corrupt", 3, table, Z3.inverse, Z3.labels, Z3.irreps)
+    g = ring_graph(6)
+    report = verify_symmetry_algebra(g, G, rng=np.random.default_rng(0),
+                                     states=2)
+    assert report["odd_composition"] > 0.1
