@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ClusterGraph
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _mul
 from .states import DENSE_CAP, OverBudget, Register, SparseState
 
 __all__ = [
@@ -82,40 +82,51 @@ def depth(sched: GateSchedule) -> int:
     return max(counts.values(), default=0)
 
 
-def odd_assignments(g: ClusterGraph, reg: Register) -> np.ndarray:
-    """Codes of every assignment of one element per odd site of ``g``,
-    even digits at the identity.  Row i holds i's base-|G| digits, the last
-    odd vertex least significant; ``check_keys`` bounds the row count."""
+def odd_assignments(g: ClusterGraph, reg: Register) -> tuple:
+    """Every assignment of one element per odd site of ``g``, even digits
+    at the identity, as a grid with one axis per odd vertex in ``g``'s
+    order: (digits, codes).  ``digits`` maps each odd vertex to
+    arange(|G|) along its own axis, length 1 along the others, so the
+    digits of any set of sites broadcast over just their axes; ``codes``
+    is the grid of codes.  Raveled in C order, row i holds i's base-|G|
+    digits, the last odd vertex least significant.  A one-element group's
+    grid has no axes, so 60 odd sites stay within numpy's axis limit;
+    ``check_keys`` bounds the grid's size."""
     n = reg.group.order
-    total = check_keys(reg.group, len(g.odd_vertices))
-    codes = np.zeros(total, dtype=np.int64)
-    rest = np.arange(total, dtype=np.int64)
-    for v in reversed(g.odd_vertices):
-        codes += reg.place_value(v, rest % n)
-        rest //= n
-    return codes
+    check_keys(reg.group, len(g.odd_vertices))
+    axes = len(g.odd_vertices) if n > 1 else 0
+    codes = np.zeros((n,) * axes, dtype=np.int64)
+    digits = {}
+    for i, v in enumerate(g.odd_vertices):
+        shape = (1,) * i + (n,) + (1,) * (axes - 1 - i) if axes else ()
+        digits[v] = np.arange(n).reshape(shape)
+        codes += reg.place_value(v, digits[v])
+    return digits, codes
 
 
 def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
     """Entangle |identity-superposition> odd sites into |e> even sites along
-    the schedule.  The result has exactly |G|^(#odd) equal-magnitude keys."""
+    the schedule.  The result has exactly |G|^(#odd) equal-magnitude keys.
+
+    Gates run on the odd-site grid (``odd_assignments``): a target's
+    digits span only the axes of the controls it has met, so a gate costs
+    |G|^(controls met) entries, and each even site adds its place value
+    to the codes once."""
     reg = Register(G, g.vertex_ids)
-    codes = odd_assignments(g, reg)
-    table = G.table
-    inverse = G.inverse
+    digits, codes = odd_assignments(g, reg)
     even: dict = {}  # even site -> its digits so far (the identity at first)
     for gate in schedule(g):
-        control = reg.digit(codes, gate.control)  # odd digits are never written
+        control = digits[gate.control]  # odd digits are never written
         target = even.get(gate.target, 0)
         if gate.sense == "left":
-            even[gate.target] = table[control, target]
+            even[gate.target] = _mul(G, control, target)
         else:
-            even[gate.target] = table[target, inverse[control]]
-    for v, digits in even.items():
-        codes += reg.place_value(v, digits)
-    amps = np.full(len(codes), G.order ** (-len(g.odd_vertices) / 2),
+            even[gate.target] = _mul(G, target, G.inverse[control])
+    for v, d in even.items():
+        codes += reg.place_value(v, d)
+    amps = np.full(codes.size, G.order ** (-len(g.odd_vertices) / 2),
                    dtype=complex)
-    return SparseState(reg, codes, amps)
+    return SparseState(reg, codes.ravel(), amps)
 
 
 def build_qubit_reference(g: ClusterGraph, G: FiniteGroup) -> SparseState:

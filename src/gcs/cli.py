@@ -179,9 +179,10 @@ def _cmd_build(args) -> dict:
         "gates": len(schedule(g)),
     }
     if len(psi) <= args.dump_cap:
+        labels = np.array(G.labels, dtype=object)[psi.keys].tolist()
         extra["amplitudes"] = [
-            [[G.labels[d] for d in key], float(a.real), float(a.imag)]
-            for key, a in psi.items()
+            [key, re, im] for key, re, im
+            in zip(labels, psi.amps.real.tolist(), psi.amps.imag.tolist())
         ]
     return _assemble("build", {"group": ghash, "graph": fhash},
                      {"residual": args.tol}, checks, None, extra=extra)

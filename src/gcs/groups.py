@@ -60,6 +60,13 @@ class Irrep:
     matrices: np.ndarray
 
 
+def _mul(G: "FiniteGroup", x, y):
+    """Group product x*y of element indices, either of them a per-row
+    array or any arrays that broadcast: one gather from the flattened
+    table, at every group order."""
+    return G.table.ravel()[np.multiply(x, G.order, dtype=np.int64) + y]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     name: str
@@ -486,10 +493,10 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def _check_shape(obj) -> None:
     """Raise ValueError unless ``obj`` has a group file's JSON shape: an
-    object with a number "order", number lists "mul" and "inv", a list of
-    "labels" and an optional list of "irreps", each an object with a string
-    or number "label", a number "dim" and "matrices" holding one list of
-    [re, im] pairs per element."""
+    object with a string or number "name", a number "order", number lists
+    "mul" and "inv", a list of "labels" and an optional list of "irreps",
+    each an object with a string or number "label", a number "dim" and
+    "matrices" holding one list of [re, im] pairs per element."""
     scalar = (int, float, str)  # what int() reads: numbers and numerals
 
     def need(ok: bool, what: str) -> None:
@@ -500,6 +507,9 @@ def _check_shape(obj) -> None:
         return isinstance(xs, list) and all(isinstance(x, kinds) for x in xs)
 
     need(isinstance(obj, dict), f"expected a JSON object, not {obj!r:.40}")
+    name = obj.get("name")
+    need(isinstance(name, scalar) and not isinstance(name, bool),
+         "'name' must be a string or number")
     need(isinstance(obj.get("order"), scalar), "'order' must be a number")
     need(listed(obj.get("mul"), scalar) and listed(obj.get("inv"), scalar),
          "'mul' and 'inv' must be lists of numbers")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .builder import build_cluster_state, odd_assignments
 from .graphs import ClusterGraph
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _mul
 from .states import Register, SparseState, fidelity
 
 __all__ = [
@@ -45,15 +45,16 @@ def odd_tensor(G: FiniteGroup, legs: int) -> np.ndarray:
 
 
 def _word_values(G: FiniteGroup, senses, cols) -> np.ndarray:
-    """Accumulated word per assignment row: outward legs multiply in
-    reverse order, then inward legs inverted in forward order."""
-    val = np.zeros(cols[0].shape, dtype=np.int64) if cols else np.int64(0)
+    """Accumulated word of the legs' values ``cols`` (arrays that
+    broadcast): outward legs multiply in reverse order, then inward legs
+    inverted in forward order."""
+    val = 0
     for sense, col in zip(senses, cols):  # later outward legs multiply on the left
         if sense == "out":
-            val = G.table[col, val]
+            val = _mul(G, col, val)
     for sense, col in zip(senses, cols):  # inward legs invert in forward order
         if sense == "in":
-            val = G.table[val, G.inverse[col]]
+            val = _mul(G, val, G.inverse[col])
     return val
 
 
@@ -101,20 +102,21 @@ def contract(net: PepsNetwork) -> SparseState:
     only the n^#odd assignments of one element per odd site survive the
     sum over bonds: each is enumerated once, and every bond takes the digit
     of its odd endpoint.  That is the circuit state's key count, and the
-    builder's ``odd_assignments`` enumerates these rows under its state
-    budget; the even digits come from the word tensors alone.  Returns the
+    builder's ``odd_assignments`` enumerates these rows, as a grid, under
+    its state budget; the even digits come from the word tensors alone,
+    each computed over the axes of its site's legs.  Returns the
     unnormalized physical state (every surviving assignment contributes
     amplitude 1)."""
     g, G = net.graph, net.group
     reg = Register(G, g.vertex_ids)
-    codes = odd_assignments(g, reg)
+    digits, codes = odd_assignments(g, reg)
     for v in g.even_vertices:
         cols = []
         for eid in net.legs[v]:
             e = g.edge(eid)
-            cols.append(reg.digit(codes, e.head if e.tail == v else e.tail))
+            cols.append(digits[e.head if e.tail == v else e.tail])
         codes += reg.place_value(v, _word_values(G, net.senses[v], cols))
-    return SparseState(reg, codes, np.ones(len(codes), dtype=complex))
+    return SparseState(reg, codes.ravel(), np.ones(codes.size, dtype=complex))
 
 
 def compare_to_circuit(g: ClusterGraph, G: FiniteGroup) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .builder import GateSchedule
 from .graphs import ClusterGraph
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _mul
 from .states import (
     Register,
     SparseState,
@@ -74,12 +74,6 @@ class SupportBoundExceeded(RuntimeError):
 
 
 # --- Words ---
-
-
-def _mul(G: FiniteGroup, x, y):
-    """Group product x*y of element indices, either of them a per-row
-    array: one gather from the flattened table, at every group order."""
-    return G.table.ravel()[np.multiply(x, G.order, dtype=np.int64) + y]
 
 
 @dataclass(frozen=True)

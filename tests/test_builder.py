@@ -1,10 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from gcs.builder import build_cluster_state, build_qubit_reference, depth, schedule
-from gcs.graphs import line_graph, ring_graph, scramble_ordering
-from gcs.groups import builtin_group
-from gcs.states import fidelity
+from gcs.builder import (
+    build_cluster_state,
+    build_qubit_reference,
+    depth,
+    odd_assignments,
+    schedule,
+)
+from gcs.corpus import corpus_pairs
+from gcs.graphs import (
+    ClusterGraph,
+    Edge,
+    build_graph,
+    line_graph,
+    ring_graph,
+    scramble_ordering,
+)
+from gcs.groups import builtin_group, group_from_json
+from gcs.peps import build_peps, contract
+from gcs.states import Register, SparseState, fidelity
 
 
 def test_schedule_invariants():
@@ -82,8 +99,6 @@ def test_all_outward_even_vertex_word_order():
 
 
 def test_edgeless_graph():
-    from gcs.graphs import ClusterGraph
-
     g = ClusterGraph("free", (("a", "odd"), ("b", "even")), (), {"b": ()})
     G = builtin_group("Z3")
     s = build_cluster_state(g, G)
@@ -127,3 +142,100 @@ def test_build_deterministic():
     b = build_cluster_state(g, G)
     assert np.array_equal(a.keys, b.keys)
     assert np.array_equal(a.amps, b.amps)
+
+
+# --- the grid against a per-row circuit ---
+
+
+def _per_row_state(g, G):
+    """The circuit applied row by row with ``G.multiply``/``G.inv``: one
+    row per odd assignment, the last odd vertex varying fastest, and each
+    even vertex's gates taken from its stored ordering."""
+    rows = []
+    for assignment in itertools.product(range(G.order), repeat=len(g.odd_vertices)):
+        digit = dict.fromkeys(g.vertex_ids, 0)
+        digit.update(zip(g.odd_vertices, assignment))
+        for v in sorted(g.even_vertices):
+            for eid in g.orderings[v]:
+                e = g.edge(eid)
+                if e.tail == v:  # even -> odd: left multiplication
+                    digit[v] = G.multiply(digit[e.head], digit[v])
+                else:  # odd -> even: right multiplication by the inverse
+                    digit[v] = G.multiply(digit[v], G.inv(digit[e.tail]))
+        rows.append([digit[v] for v in g.vertex_ids])
+    reg = Register(G, g.vertex_ids)
+    codes = reg.encode(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
+    amps = np.full(len(rows), G.order ** (-len(g.odd_vertices) / 2))
+    return SparseState(reg, codes, amps)
+
+
+def _assert_grid_matches_rows(g, G):
+    psi = build_cluster_state(g, G)
+    ref = _per_row_state(g, G)
+    assert np.array_equal(psi.codes, ref.codes)
+    assert np.array_equal(psi.amps, ref.amps)
+    net = contract(build_peps(g, G))
+    assert np.array_equal(net.codes, psi.codes)
+    assert np.array_equal(net.amps, np.ones(len(psi)))
+
+
+_SMALL_PAIRS = [
+    (entry, gname) for entry, gname in corpus_pairs()
+    if builtin_group(gname).order ** len(entry.graph.odd_vertices) <= 4096
+]
+
+
+@pytest.mark.parametrize("entry, gname", _SMALL_PAIRS,
+                         ids=[f"{e.name}+{gname}" for e, gname in _SMALL_PAIRS])
+def test_grid_matches_per_row_circuit_on_corpus(entry, gname):
+    _assert_grid_matches_rows(entry.graph, builtin_group(gname))
+
+
+def _odd_corners():
+    """Odd and even vertices interleaved, parallel edges in both senses
+    and in one sense, an isolated odd vertex and an even vertex with no
+    edges."""
+    vertices = [("a", "even"), ("p", "odd"), ("b", "even"), ("q", "odd"),
+                ("lone", "even"), ("iso", "odd"), ("r", "odd")]
+    edges = [Edge("e1", "a", "p"), Edge("e2", "p", "a"), Edge("e3", "q", "a"),
+             Edge("e4", "a", "r"), Edge("e5", "p", "b"), Edge("e6", "p", "b"),
+             Edge("e7", "b", "q"), Edge("e8", "b", "r"), Edge("e9", "a", "q")]
+    return build_graph("corners", vertices, edges)
+
+
+@pytest.mark.parametrize("gname", ["Z3", "S3", "Q8"])
+def test_grid_matches_per_row_circuit_on_corner_cases(gname):
+    G = builtin_group(gname)
+    g = _odd_corners()
+    _assert_grid_matches_rows(g, G)
+    for v in ("a", "b"):  # every rotation of each gate ordering
+        for k in range(1, len(g.orderings[v])):
+            _assert_grid_matches_rows(scramble_ordering(g, v, k), G)
+    _assert_grid_matches_rows(scramble_ordering(ring_graph(6), "0"), G)
+    edgeless = ClusterGraph("free", (("a", "odd"), ("b", "even"), ("c", "odd")),
+                            (), {"b": ()})
+    _assert_grid_matches_rows(edgeless, G)
+
+
+def _one_element_group():
+    return group_from_json({
+        "name": "Z1", "order": 1, "mul": [0], "inv": [0], "labels": ["e"],
+        "irreps": [{"label": "A", "dim": 1, "matrices": [[[1, 0]]]}],
+    })
+
+
+def test_one_element_group_star_grid_has_no_axes():
+    # 60 odd leaves would be 60 length-1 axes, past numpy 1.x's 32
+    G = _one_element_group()
+    leaves = [str(i) for i in range(60)]
+    edges = [Edge(f"e{i}", "c", v) if i % 2 else Edge(f"e{i}", v, "c")
+             for i, v in enumerate(leaves)]
+    g = build_graph("star61", [("c", "even")] + [(v, "odd") for v in leaves],
+                    edges)
+    digits, codes = odd_assignments(g, Register(G, g.vertex_ids))
+    assert codes.ndim <= 32 and all(d.ndim <= 32 for d in digits.values())
+    psi = build_cluster_state(g, G)
+    assert np.array_equal(psi.codes, [0]) and np.array_equal(psi.amps, [1.0])
+    net = contract(build_peps(g, G))
+    assert np.array_equal(net.codes, [0]) and np.array_equal(net.amps, [1.0])
+    _assert_grid_matches_rows(g, G)

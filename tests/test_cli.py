@@ -80,6 +80,21 @@ def test_bad_irrep_labels_are_input_errors(tmp_path, capsys, change, message):
         assert message in err
 
 
+@pytest.mark.parametrize("change", [
+    lambda obj: obj.pop("name"),
+    lambda obj: obj.update(name=True),
+])
+def test_group_file_needs_a_name(tmp_path, capsys, change):
+    obj = group_to_json(builtin_group("Z2"))
+    change(obj)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(obj))
+    assert run(["group", "validate", "--name", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'name' must be a string or number" in err
+
+
 def test_group_digest_follows_catalog_precedence(tmp_path, monkeypatch, capsys):
     # a file named like a catalog group does not shadow the catalog entry,
     # so the report carries the catalog group's canonical digest

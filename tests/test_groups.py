@@ -194,6 +194,17 @@ def test_loader_requires_an_irrep_label(label):
         group_from_json(obj)
 
 
+@pytest.mark.parametrize("name", [None, False, [1], {"a": 1}])
+def test_loader_requires_a_group_name(name):
+    obj = group_to_json(builtin_group("Z2"))
+    if name is None:
+        del obj["name"]
+    else:
+        obj["name"] = name
+    with pytest.raises(ValueError, match="'name' must be a string or number"):
+        group_from_json(obj)
+
+
 def test_loader_reads_numerals_and_integral_floats():
     # integer fields are checked before any cast, and int() reads "2" and 1.0
     obj = group_to_json(builtin_group("Z2"))

@@ -15,7 +15,7 @@ import pytest
 from gcs.builder import build_cluster_state, schedule
 from gcs.corpus import corpus_pairs
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
-from gcs.groups import FiniteGroup, builtin_group
+from gcs.groups import FiniteGroup, _mul, builtin_group
 from gcs.qdouble import (
     build_qd_lattice,
     dressed_star,
@@ -40,7 +40,6 @@ from gcs.stabilizers import (
     stabilizers_agree_on_random_states,
     verify,
 )
-from gcs.stabilizers import _mul
 from gcs.states import (
     Register,
     SparseState,
