@@ -91,16 +91,19 @@ def odd_assignments(g: ClusterGraph, reg: Register) -> tuple:
     is the grid of codes.  Raveled in C order, row i holds i's base-|G|
     digits, the last odd vertex least significant.  A one-element group's
     grid has no axes, so 60 odd sites stay within numpy's axis limit;
-    ``check_keys`` bounds the grid's size."""
+    ``check_keys`` bounds the grid's size.  The codes grow one axis per
+    odd vertex, so all of them cost about |G|/(|G|-1) passes over the
+    grid."""
     n = reg.group.order
     check_keys(reg.group, len(g.odd_vertices))
     axes = len(g.odd_vertices) if n > 1 else 0
-    codes = np.zeros((n,) * axes, dtype=np.int64)
+    codes = np.zeros((), dtype=np.int64)
     digits = {}
     for i, v in enumerate(g.odd_vertices):
         shape = (1,) * i + (n,) + (1,) * (axes - 1 - i) if axes else ()
         digits[v] = np.arange(n).reshape(shape)
-        codes += reg.place_value(v, digits[v])
+        if axes:
+            codes = codes[..., None] + reg.place_value(v, np.arange(n))
     return digits, codes
 
 

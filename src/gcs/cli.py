@@ -8,7 +8,9 @@ budget, a register too wide for 62-bit key codes) before any check runs,
 and an unwritable ``--out`` or ``--dump-graphs`` path, in which case no
 report is printed; exit 1 flags a check failure.
 Reports are deterministic for fixed inputs and seed up to the wall-time
-field, which consumers strip before diffing.
+field, which consumers strip before diffing.  Each is one line of
+canonical JSON: sorted keys, ``,``/``:`` separators, ASCII escapes and a
+trailing newline.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class InputError(Exception):
     """Bad input: reported on stderr with exit code 2."""
 
 
+def _reason(exc: Exception) -> str:
+    """The message of ``exc``; a ``KeyError``'s ``str`` is the repr of its
+    argument, quotes and all, so its argument is the message."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -75,7 +85,7 @@ def _load_group(spec: str):
     try:
         G = resolve_group(spec)
     except (KeyError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load group {spec!r}: {exc}")
+        raise InputError(f"cannot load group {spec!r}: {_reason(exc)}")
     # resolve_group prefers the catalog over a file of the same name
     if spec in catalog_names():
         digest = catalog_digest(spec)
@@ -88,7 +98,7 @@ def _load_graph(path: str):
     try:
         g = load_graph_file(path)
     except (KeyError, OSError, ValueError) as exc:
-        raise InputError(f"cannot load graph {path!r}: {exc}")
+        raise InputError(f"cannot load graph {path!r}: {_reason(exc)}")
     return g, {"spec": path, "sha256": _sha256_file(path)}
 
 
@@ -124,15 +134,17 @@ def _assemble(command: str, inputs: dict, tolerances: dict, checks: list,
 
 
 def _emit(report: dict, args) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # the one report form: sorted keys, no whitespace, ASCII escapes and a
+    # trailing newline; without ``indent``, json encodes it in C
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write report {args.out!r}: {exc}")
     if args.json:
-        print(text)
+        sys.stdout.write(text)
     else:
         for c in report["checks"]:
             status = "PASS" if c["passed"] else "FAIL"
@@ -226,7 +238,7 @@ def _cmd_measure(args) -> dict:
     try:
         out = measure(psi, args.site, args.basis, rng=rng, forced=forced)
     except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+        raise InputError(_reason(exc))
     total = sum(p for _, p in out.distribution)
     checks = [
         _check("distribution_total", abs(total - 1.0), args.tol),
@@ -314,7 +326,7 @@ def _cmd_qdouble(args) -> dict:
     try:
         psi, stabs = prepare_qd_with_measurement(lat, G, outcomes)
     except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+        raise InputError(_reason(exc))
     checks = [_check(label, residual, args.tol)
               for label, residual in verify(stabs, psi).items()]
     extra = {

@@ -35,6 +35,7 @@ from .groups import FiniteGroup, _mul
 from .states import (
     Register,
     SparseState,
+    _block_sums,
     code_residuals,
     merge_codes,
     sample_states,
@@ -615,8 +616,8 @@ def verify(stabs: dict, state: SparseState) -> dict:
 
     The members of a family act once per pass on copies of psi stacked at
     offsets of the register's dimension (``_passes``), psi's digits read
-    from one table; each member's residual is summed over its own block,
-    as on psi alone."""
+    from one table; each member's residual is summed over its own block
+    (``states._block_sums``), as on psi alone."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
@@ -627,21 +628,16 @@ def verify(stabs: dict, state: SparseState) -> dict:
         ops = [op for _, op in members]
         for lo, hi in _passes(len(ops), m, dim):
             k = hi - lo
-            offsets = dim * np.arange(k)
             if k == 1:  # psi itself: a large state is not copied
                 codes, amps, digits = state.codes, state.amps, table
             else:
-                codes = (state.codes + offsets[:, None]).ravel()
+                codes = (state.codes + dim * np.arange(k)[:, None]).ravel()
                 amps, digits = np.tile(state.amps, k), np.tile(table, k)
-            c, a = merge_codes(*_act_blocks(
+            sq = _block_sums(merge_codes(*_act_blocks(
                 ops[lo:hi], np.arange(k), reg, codes, amps, m,
-                dict(zip(reg.sites, digits))))
-            ends = np.searchsorted(c, np.append(offsets, k * dim))
-            for j in range(k):
-                block = slice(ends[j], ends[j + 1])
-                sq = code_residuals(c[block] - offsets[j], a[block],
-                                    state.codes, state.amps)[1]
-                out[members[lo + j][0]] = float(np.sqrt(np.sum(sq))) / norm
+                dict(zip(reg.sites, digits)))), (codes, amps), dim, k)
+            for (label, _), s in zip(members[lo:hi], sq):
+                out[label] = float(np.sqrt(s)) / norm
     return {label: out[label] for label in stabs}
 
 

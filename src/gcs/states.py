@@ -294,6 +294,26 @@ def code_residuals(ca: np.ndarray, aa: np.ndarray, cb: np.ndarray,
     return codes, sq
 
 
+def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
+    """||lhs_j - rhs_j||^2 for each block j of two canonical stacks of
+    (codes, amps), block j at offset dim * j.  A block's terms are summed
+    by one ``np.sum`` in the order ``code_residuals`` gives them for that
+    block alone, so each value is the sum whose square root
+    ``residual_norm(lhs_j, rhs_j)`` returns, bit for bit."""
+    codes, sq = code_residuals(*lhs, *rhs)
+    if blocks == 1:  # already in that order; a large state is not gathered
+        return np.array([np.sum(sq)])
+    block = codes // dim
+    sq = sq[np.argsort(block, kind="stable")]
+    counts = np.bincount(block, minlength=blocks)
+    starts = np.cumsum(counts) - counts
+    sums = np.empty(blocks)
+    for size in set(counts.tolist()):  # an empty block sums to 0.0
+        which = np.flatnonzero(counts == size)
+        sums[which] = np.sum(sq[starts[which, None] + np.arange(size)], axis=1)
+    return sums
+
+
 # --- Constructors ---
 
 

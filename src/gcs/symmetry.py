@@ -36,7 +36,7 @@ from .states import (
     PRUNE_TOL,
     Register,
     SparseState,
-    code_residuals,
+    _block_sums,
     merge_codes,
     random_state,
 )
@@ -155,24 +155,6 @@ def _trace_weights(reps, digits: np.ndarray) -> np.ndarray:
 def _offsets(codes: np.ndarray, blocks: int, dim: int) -> np.ndarray:
     """(blocks, len(codes)): row j holds ``codes`` offset by dim * j."""
     return codes + dim * np.arange(blocks)[:, None]
-
-
-def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
-    """||lhs_j - rhs_j||^2 for each block j of two canonical stacks of
-    (codes, amps), block j at offset dim * j.  A block's terms are summed
-    by one ``np.sum`` in the order ``code_residuals`` gives them for that
-    block alone, so each value is the sum whose square root
-    ``residual_norm(lhs_j, rhs_j)`` returns, bit for bit."""
-    codes, sq = code_residuals(*lhs, *rhs)
-    block = codes // dim
-    sq = sq[np.argsort(block, kind="stable")]
-    counts = np.bincount(block, minlength=blocks)
-    starts = np.cumsum(counts) - counts
-    sums = np.empty(blocks)
-    for size in set(counts.tolist()):  # an empty block sums to 0.0
-        which = np.flatnonzero(counts == size)
-        sums[which] = np.sum(sq[starts[which, None] + np.arange(size)], axis=1)
-    return sums
 
 
 def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,

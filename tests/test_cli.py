@@ -16,6 +16,8 @@ from gcs.graphs import (MAX_EDGES, Edge, build_graph, graph_to_json, line_graph,
 from gcs.corpus import general_small_graph
 from gcs.groups import builtin_group, group_to_json
 from gcs.states import MAX_SITES
+from test_reports_golden import CASES as GOLDEN_CASES
+from test_reports_golden import graph_dir  # noqa: F401 (a fixture)
 
 
 def _write_graph(tmp_path, g, name=None):
@@ -476,6 +478,13 @@ def test_qdouble_inconsistent_outcomes_are_input_error(capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+def test_unknown_outcome_label_error_line_has_no_repr_quotes(capsys):
+    # the KeyError's message is reported, not the repr str(KeyError) gives
+    assert run(["qdouble", "--group", "Z2", "--outcome", "p[0,0]=zz"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unknown element label 'zz' in group Z2\n")
+
+
 def test_qdouble_random_outcomes():
     assert run(["qdouble", "--group", "Z3", "--random-outcomes",
                 "--seed", "11"]) == 0
@@ -547,6 +556,26 @@ def test_corpus_empty_filter_is_input_error():
 
 
 # --- report contract ---
+
+
+CANONICAL_CASES = {**GOLDEN_CASES,
+                   "corpus-max-edges-4": ["corpus", "--max-edges", "4",
+                                          "--seed", "1"]}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_report_is_one_canonical_line(name, graph_dir, tmp_path, capsys,
+                                      monkeypatch):
+    # sorted keys, no whitespace, one trailing newline; --out holds the
+    # bytes --json prints
+    monkeypatch.chdir(graph_dir)
+    path = tmp_path / "report.json"
+    assert run([*CANONICAL_CASES[name], "--json", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True,
+                             separators=(",", ":")) + "\n"
+    assert out.count("\n") == 1
+    assert path.read_bytes() == out.encode("ascii")
 
 
 def test_every_check_names_its_tolerance(tmp_path, capsys):
