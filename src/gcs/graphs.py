@@ -273,19 +273,31 @@ def graph_to_json(g: ClusterGraph) -> dict:
 
 def _check_shape(obj) -> None:
     """Raise ValueError unless ``obj`` has a graph file's JSON shape: an
-    object whose "vertices" and "edges" are lists of objects and whose
-    optional "orderings" maps vertex ids to lists."""
+    object whose "vertices" and "edges" are lists of objects, each vertex
+    with an "id" and a "parity" and each edge with an "id", a "tail" and a
+    "head", and whose optional "orderings" maps vertex ids to lists of edge
+    ids; every id, end and parity a string or number."""
+    def scalar(x) -> bool:
+        return isinstance(x, (int, float, str)) and not isinstance(x, bool)
+
     if not isinstance(obj, dict):
         raise ValueError(f"a graph file holds a JSON object, not {obj!r:.40}")
-    for key in ("vertices", "edges"):
+    for key, kind, fields in (("vertices", "vertex", ("id", "parity")),
+                              ("edges", "edge", ("id", "tail", "head"))):
         items = obj.get(key)
         if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
             raise ValueError(f"graph {key!r} must be a list of objects, "
                              f"not {items!r:.40}")
+        for name in fields:
+            if not all(scalar(x.get(name)) for x in items):
+                raise ValueError(f"graph {kind} {name!r} must be a string "
+                                 "or number")
     orderings = obj.get("orderings", {})
     if not (isinstance(orderings, dict)
-            and all(isinstance(o, list) for o in orderings.values())):
-        raise ValueError("graph 'orderings' must map vertex ids to lists")
+            and all(isinstance(o, list) and all(map(scalar, o))
+                    for o in orderings.values())):
+        raise ValueError("graph 'orderings' must map vertex ids to lists of "
+                         "strings or numbers")
 
 
 def graph_from_json(obj: dict) -> ClusterGraph:

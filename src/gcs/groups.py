@@ -109,9 +109,6 @@ class FiniteGroup:
             out = int(self.table[out, e])
         return out
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
     def element(self, label: str) -> int:
         try:
             return self.label_index[label]

@@ -18,6 +18,13 @@ stabilizers through the entangling circuit, one conjugation rule per gate,
 and direct closed forms.  Agreement of the two routes, in action on
 states, is this module's central cross-check.
 
+Every residual is computed by one kernel, ``_residuals``: ``verify``, the
+route check and the basis comparison call it, as does the ring symmetry
+check.  It stacks each family's (member, state) blocks in passes, acts once
+per pass, and sums each block as ``residual_norm`` sums its pair alone
+(``states._block_sums``, which skips the per-block sums when every term is
+0.0).
+
 Application order convention: within one site's factor list, index 0 acts
 FIRST (input side).  Printing shows operator order (last applied leftmost).
 """
@@ -36,7 +43,6 @@ from .states import (
     Register,
     SparseState,
     _block_sums,
-    code_residuals,
     merge_codes,
     sample_states,
 )
@@ -438,7 +444,8 @@ def propagate(sched: GateSchedule, init: dict) -> dict:
         adj.setdefault(gate.control, set()).add(gate.target)
         adj.setdefault(gate.target, set()).add(gate.control)
     out = {}
-    for family, members in _families(init):
+    for labels in _families(init):
+        family = init[labels[0]].family or init[labels[0]]
         cur = family
         for gate in sched:
             cur = conjugate_by_cmult(cur, gate.control, gate.target, gate.sense,
@@ -450,10 +457,11 @@ def propagate(sched: GateSchedule, init: dict) -> dict:
             extra = set(cur.support()) - bound
             if extra:
                 raise SupportBoundExceeded(
-                    f"stabilizer {members[0][0]} spread to "
+                    f"stabilizer {labels[0]} spread to "
                     f"{sorted(map(str, extra))}")
-        for label, op in members:
-            out[label] = cur.bind(op.binding) if op.binding else cur
+        for label in labels:
+            binding = init[label].binding
+            out[label] = cur.bind(binding) if binding else cur
     return {label: out[label] for label in init}
 
 
@@ -576,14 +584,17 @@ def css_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
 # --- Verification ---
 
 
-def _families(stabs: dict) -> list:
-    """[(family, [(label, operator), ...]), ...]: the labels of ``stabs``
-    grouped by the family their operators bind (an operator bound to no
-    family is a family of one), in order of first appearance."""
+def _families(a: dict, b: dict | None = None) -> list:
+    """The labels of ``a`` grouped by the family their operators bind in
+    ``a`` and, given ``b``, in ``b`` (an operator bound to no family is a
+    family of one), in order of first appearance."""
+    def family(op):
+        return id(op.family or op)
+
     groups: dict = {}
-    for label, op in stabs.items():
-        family = op.family or op
-        groups.setdefault(id(family), (family, []))[1].append((label, op))
+    for label, op in a.items():
+        key = family(op), None if b is None else family(b[label])
+        groups.setdefault(key, []).append(label)
     return list(groups.values())
 
 
@@ -611,60 +622,59 @@ def _act_blocks(ops: list, which: np.ndarray, register: Register,
     return family.act_rows(register, codes, amps, params, digits)
 
 
-def verify(stabs: dict, state: SparseState) -> dict:
-    """Each stabilizer's residual |S psi - psi| / |psi|, by label.
+def _residuals(a: dict, b: dict | None, register: Register,
+               codes: np.ndarray, amps: np.ndarray) -> dict:
+    """||a[l] psi_s - b[l] psi_s||^2 by label l, an array over the states
+    psi_s (row s of the 2-D ``codes``/``amps``, each row canonical);
+    ``b=None`` compares with psi_s itself.
 
-    The members of a family act once per pass on copies of psi stacked at
-    offsets of the register's dimension (``_passes``), psi's digits read
-    from one table; each member's residual is summed over its own block
-    (``states._block_sums``), as on psi alone."""
+    The labels whose operators bind one family in ``a`` and one in ``b``
+    (``_families``) are checked together: their (member, state) blocks are
+    stacked at offsets of the register's dimension, which no digit read or
+    rewrite touches, in passes (``_passes``) gathered from the states and
+    their one ``digit_table``, and each side acts once per pass.  A
+    one-block pass acts on the state's own arrays.  Each block is summed by
+    ``states._block_sums``, so its value is the sum whose square root
+    ``residual_norm`` returns for that block's pair of states alone."""
+    dim = register.dimension
+    states, rows = codes.shape
+    table = register.digit_table(codes.ravel())
+    out = {}
+    for labels in _families(a, b):
+        ops_a = [a[label] for label in labels]
+        ops_b = None if b is None else [b[label] for label in labels]
+        sq = np.empty(len(labels) * states)
+        for lo, hi in _passes(len(sq), rows, dim):
+            member, state = np.divmod(np.arange(lo, hi), states)
+            if hi - lo == 1:  # the state itself: a large state is not copied
+                s = state[0]
+                stack = codes[s], amps[s]
+                digits = table[:, s * rows:(s + 1) * rows]
+            else:
+                stack = ((codes[state] + dim * np.arange(hi - lo)[:, None]).ravel(),
+                         amps[state].ravel())
+                digits = table[:, (state[:, None] * rows + np.arange(rows)).ravel()]
+            digits = dict(zip(register.sites, digits))
+            lhs = merge_codes(*_act_blocks(ops_a, member, register, *stack,
+                                           rows, digits))
+            rhs = stack if ops_b is None else merge_codes(*_act_blocks(
+                ops_b, member, register, *stack, rows, digits))
+            sq[lo:hi] = _block_sums(lhs, rhs, dim, hi - lo)
+            del lhs, rhs  # not held beside the next pass's rows
+        for i, label in enumerate(labels):
+            out[label] = sq[i * states:(i + 1) * states]
+    return {label: out[label] for label in a}
+
+
+def verify(stabs: dict, state: SparseState) -> dict:
+    """Each stabilizer's residual |S psi - psi| / |psi|, by label
+    (``_residuals`` with psi the one state)."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    reg, m, dim = state.register, len(state), state.register.dimension
-    table = reg.digit_table(state.codes)
-    out = {}
-    for _, members in _families(stabs):
-        ops = [op for _, op in members]
-        for lo, hi in _passes(len(ops), m, dim):
-            k = hi - lo
-            if k == 1:  # psi itself: a large state is not copied
-                codes, amps, digits = state.codes, state.amps, table
-            else:
-                codes = (state.codes + dim * np.arange(k)[:, None]).ravel()
-                amps, digits = np.tile(state.amps, k), np.tile(table, k)
-            sq = _block_sums(merge_codes(*_act_blocks(
-                ops[lo:hi], np.arange(k), reg, codes, amps, m,
-                dict(zip(reg.sites, digits)))), (codes, amps), dim, k)
-            for (label, _), s in zip(members[lo:hi], sq):
-                out[label] = float(np.sqrt(s)) / norm
-    return {label: out[label] for label in stabs}
-
-
-def _block_residuals(ops_a: list, ops_b: list, which: np.ndarray,
-                     register: Register, codes: np.ndarray, amps: np.ndarray,
-                     table: np.ndarray) -> np.ndarray:
-    """||a psi_i - b psi_i||^2 for each state psi_i (row i of the 2-D
-    ``codes``/``amps``), a and b being ``ops_a[which[i]]`` and
-    ``ops_b[which[i]]``.  The states are stacked at offsets of
-    |G|^width, which no digit read or rewrite touches, in passes
-    (``_passes``); each family acts once per pass, and the per-state sums
-    come from canonicalizing the offset codes.  ``table`` is the
-    ``digit_table`` of the raveled ``codes``, so no pass reads digits."""
-    dim = register.dimension
-    blocks, rows = codes.shape
-    sq = np.empty(blocks)
-    for lo, hi in _passes(blocks, rows, dim):
-        stacked = (codes[lo:hi] + dim * np.arange(hi - lo)[:, None]).ravel()
-        flat = amps[lo:hi].ravel()
-        digits = dict(zip(register.sites, table[:, lo * rows:hi * rows]))
-        c, s = code_residuals(
-            *merge_codes(*_act_blocks(ops_a, which[lo:hi], register,
-                                      stacked, flat, rows, digits)),
-            *merge_codes(*_act_blocks(ops_b, which[lo:hi], register,
-                                      stacked, flat, rows, digits)))
-        sq[lo:hi] = np.bincount(c // dim, weights=s, minlength=hi - lo)
-    return sq
+    sq = _residuals(stabs, None, state.register, state.codes[None],
+                    state.amps[None])
+    return {label: float(np.sqrt(s[0])) / norm for label, s in sq.items()}
 
 
 def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
@@ -678,10 +688,8 @@ def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
     digits = np.indices((n,) * len(support)).reshape(len(support), n ** len(support))
     codes = sum((register.place_value(s, d) for s, d in zip(support, digits)),
                 np.zeros(digits.shape[1], dtype=np.int64))
-    sq = _block_residuals([a], [b], np.zeros(len(codes), dtype=np.int64),
-                          register, codes[:, None],
-                          np.ones((len(codes), 1), dtype=complex),
-                          register.digit_table(codes))
+    sq = _residuals({"": a}, {"": b}, register, codes[:, None],
+                    np.ones((len(codes), 1), dtype=complex))[""]
     return float(np.sqrt(sq.max()))
 
 
@@ -690,25 +698,8 @@ def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,
                                        keys_per_state: int = 200) -> dict:
     """For each label of ``a``: the max over ``states`` random states psi of
     ||a[label] psi - b[label] psi||.  The states are drawn once from
-    ``rng`` (``sample_states``) and every label is checked on them.  The
-    labels whose operators bind one family in ``a`` and one in ``b`` are
-    checked together: the states are tiled once per member, with their
-    digit table, and each family acts once per pass."""
+    ``rng`` (``sample_states``) and every label is checked on them
+    (``_residuals``)."""
     codes, amps = sample_states(register, rng, states, keys_per_state)
-    table = register.digit_table(codes.ravel())
-    groups: dict = {}
-    for label, op in a.items():
-        fa, fb = op.family or op, b[label].family or b[label]
-        groups.setdefault((id(fa), id(fb)), []).append(label)
-    out = {}
-    for labels in groups.values():
-        k = len(labels)
-        sq = _block_residuals([a[label] for label in labels],
-                              [b[label] for label in labels],
-                              np.arange(k * states) // states, register,
-                              np.tile(codes, (k, 1)), np.tile(amps, (k, 1)),
-                              np.tile(table, k))
-        for i, label in enumerate(labels):
-            mine = sq[i * states:(i + 1) * states]
-            out[label] = float(np.sqrt(mine.max())) if states else 0.0
-    return {label: out[label] for label in a}
+    return {label: float(np.sqrt(sq.max()))
+            for label, sq in _residuals(a, b, register, codes, amps).items()}

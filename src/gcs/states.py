@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -203,13 +203,6 @@ class SparseState:
         """(m, width) digit rows of the codes, decoded on each call."""
         return self.register.digit_table(self.codes).T
 
-    def items(self) -> Iterator[tuple[tuple, complex]]:
-        for row, a in zip(self.keys, self.amps):
-            yield tuple(int(x) for x in row), complex(a)
-
-    def to_dict(self) -> dict:
-        return dict(self.items())
-
     def amplitude(self, key: Sequence[int]) -> complex:
         key = np.asarray(key, dtype=np.int64)
         if np.any((key < 0) | (key >= self.register.group.order)):
@@ -301,6 +294,8 @@ def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
     block alone, so each value is the sum whose square root
     ``residual_norm(lhs_j, rhs_j)`` returns, bit for bit."""
     codes, sq = code_residuals(*lhs, *rhs)
+    if not sq.any():  # sums of zeros are exact in any order
+        return np.zeros(blocks)
     if blocks == 1:  # already in that order; a large state is not gathered
         return np.array([np.sum(sq)])
     block = codes // dim

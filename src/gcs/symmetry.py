@@ -11,17 +11,18 @@ Both operators need every even site to carry exactly one inward and one
 outward edge on a single closed cycle; anything else (open chains, branch
 vertices, uniformly oriented rings) is rejected.
 
-``verify_symmetry_algebra`` checks the families' algebra in stacked passes,
-as ``stabilizers.verify`` checks a stabilizer family.  The odd operators are
-one family in ``stabilizers.PARAM``; each state's element pairs act on
-copies of the state stacked at offsets of the register's dimension, in the
-passes of ``stabilizers._passes``, with x bound per row.  The even weights
-of every irrep, tensor product and direct sum are computed once per state,
-reps of one dimension sharing one chain of matrix products, and each law
-instance is one more block of a stack.  Each block's residual is summed as
-``residual_norm`` sums a single pair of states, so for any group (whose
-right multiplications permute the basis) the stacked residuals equal the
-operator-by-operator ones bit for bit.
+``verify_symmetry_algebra`` checks the families' algebra in stacked passes.
+The odd operators are one family in ``stabilizers.PARAM``, and the odd laws
+go through the stabilizer kernel ``stabilizers._residuals`` over every
+state at once: the composition Xr(y) then Xr(x), a two-parameter family,
+against the family bound to xy, and the family bound to e against the state
+itself.  The even weights of every irrep, tensor product and direct sum are
+computed once per state, reps of one dimension sharing one chain of matrix
+products, and each even or commutation law instance is one more block of a
+stack in the passes of ``stabilizers._passes``.  Each block's residual is
+summed as ``residual_norm`` sums a single pair of states, so for any group
+(whose right multiplications permute the basis) the stacked residuals equal
+the operator-by-operator ones bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .graphs import ClusterGraph
 from .groups import FiniteGroup, Irrep, rep_direct_sum, rep_tensor
 from .stabilizers import (BLOCK_ROWS, PARAM, ConditionalMonomial, Factor,
-                          Word, _passes)
+                          Word, _passes, _residuals)
 from .states import (
     PRUNE_TOL,
     Register,
@@ -180,21 +181,33 @@ def verify_symmetry_algebra(g: ClusterGraph, G: FiniteGroup,
                  for i, r1 in enumerate(G.irreps)
                  for j, r2 in enumerate(G.irreps)]
     odd = _u_odd(G, g)
-    checks = dict.fromkeys(("odd_composition", "odd_identity",
-                            "even_trivial_identity", "even_tensor",
-                            "even_direct_sum", "odd_even_commutation"), 0.0)
+    # odd(odd(psi, y), x) against odd(psi, xy), and odd(psi, e) against psi
+    composed = ConditionalMonomial(G, (), {w: (Factor("XR", Word.var("y")),
+                                               Factor("XR", Word.var(PARAM)))
+                                           for w in g.odd_vertices})
+    codes = np.stack([psi.codes for psi in psis])
+    amps = np.stack([psi.amps for psi in psis])
+    composition = _residuals(
+        {i: composed.bind({PARAM: x, "y": y}) for i, (x, y) in enumerate(pairs)},
+        {i: odd.bind({PARAM: G.table[x, y]}) for i, (x, y) in enumerate(pairs)},
+        reg, codes, amps)
+    identity = _residuals({0: odd.bind({PARAM: 0})}, None, reg, codes, amps)
+    checks = {law: float(np.sqrt(max(s.max() for s in sq.values())))
+              for law, sq in (("odd_composition", composition),
+                              ("odd_identity", identity))}
+    checks.update(dict.fromkeys(("even_trivial_identity", "even_tensor",
+                                 "even_direct_sum", "odd_even_commutation"), 0.0))
     xs = np.array(sorted({1 % n, n - 1}))  # the commutation law's elements
     for psi in psis:
-        for law, sq in _state_residuals(psi, odd, cycle, pairs, pair_reps, xs):
-            if len(sq):
-                checks[law] = max(checks[law], float(np.sqrt(sq.max())))
+        for law, sq in _state_residuals(psi, odd, cycle, pair_reps, xs):
+            checks[law] = max(checks[law], float(np.sqrt(sq.max())))
     return checks
 
 
 def _state_residuals(psi: SparseState, odd: ConditionalMonomial, cycle,
-                     pairs: list, pair_reps: list, xs: np.ndarray):
+                     pair_reps: list, xs: np.ndarray):
     """Yield (law, squared residual per block) for one state: a block per
-    element pair, irrep pair, or (x, irrep) of the law's instances."""
+    irrep pair or (x, irrep) of the even and commutation laws' instances."""
     reg = psi.register
     G, dim, m = reg.group, reg.dimension, len(psi)
     c, A = psi.codes, psi.amps
@@ -207,29 +220,6 @@ def _state_residuals(psi: SparseState, odd: ConditionalMonomial, cycle,
         digits = None if rows is None else {w: d[rows]
                                             for w, d in odd_digits.items()}
         return odd.act_rows(reg, codes, amps, {PARAM: x}, digits)
-
-    # odd composition, odd(odd(psi, b), a) against odd(psi, ab), one block
-    # per pair; the identity law, odd(psi, 0) against psi, is the last block
-    a, b = np.array(pairs).T
-    first = np.append(b, 0)
-    for lo, hi in _passes(len(pairs) + 1, m, dim):
-        k = min(hi, len(pairs)) - lo  # pair blocks in this pass
-        rows = np.tile(np.arange(m), hi - lo)
-        codes, amps = _offsets(c, hi - lo, dim).ravel(), A[rows]
-        once = act(codes, amps, np.repeat(first[lo:hi], m), rows)
-        twice = act(once[0][:k * m], once[1][:k * m],
-                    np.repeat(a[lo:lo + k], m))
-        ab = act(codes[:k * m], amps[:k * m],
-                 np.repeat(G.table[a[lo:lo + k], b[lo:lo + k]], m),
-                 rows[:k * m])
-        sq = _block_sums(
-            merge_codes(np.concatenate([twice[0], once[0][k * m:]]),
-                        np.concatenate([twice[1], once[1][k * m:]])),
-            merge_codes(np.concatenate([ab[0], codes[k * m:]]),
-                        np.concatenate([ab[1], amps[k * m:]])),
-            dim, hi - lo)
-        yield "odd_composition", sq[:k]
-        yield "odd_identity", sq[k:]
 
     # every irrep's weights on psi and on each odd(psi, x), read once
     cyc = table[[reg.axis(v) for v in cycle]]

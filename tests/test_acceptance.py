@@ -195,8 +195,8 @@ def test_criterion_5_chain_phenomenology():
 
 def _pair_matrix(state, G):
     m = np.zeros((G.order, G.order), dtype=complex)
-    for (a, b), amp in state.items():
-        m[a, b] = amp
+    a, b = state.keys.T
+    m[a, b] = state.amps
     return m
 
 

@@ -232,7 +232,17 @@ def test_unwritable_outputs_are_input_errors(tmp_path, capsys):
 
 def _graph_shapes():
     good = graph_to_json(line_graph(3, "e"))
-    return [{**good, "vertices": None}, {**good, "edges": [1, 2]}, [1, 2]]
+    # str() makes a well-formed id of a null, list or boolean field used
+    # consistently, so only the shape check refuses these files
+    bare = json.dumps({k: v for k, v in good.items() if k != "orderings"})
+    named_none = json.loads(json.dumps(good).replace('"e0"', '"None"'))
+    return [{**good, "vertices": None}, {**good, "edges": [1, 2]}, [1, 2],
+            {**good, "vertices": [{"id": "0"}, *good["vertices"][1:]]},
+            {**good, "edges": [{"id": "e0", "tail": "0"}, *good["edges"][1:]]},
+            json.loads(bare.replace('"0"', "null")),
+            json.loads(bare.replace('"0"', "[0]")),
+            json.loads(json.dumps(good).replace('"e0"', "true")),
+            {**named_none, "orderings": {**named_none["orderings"], "0": [None]}}]
 
 
 def _group_shapes():
@@ -254,7 +264,10 @@ def _group_shapes():
 
 
 @pytest.mark.parametrize("obj", _graph_shapes(),
-                         ids=["null-vertices", "int-edges", "top-level-list"])
+                         ids=["null-vertices", "int-edges", "top-level-list",
+                              "vertex-without-parity", "edge-without-head",
+                              "null-vertex-id", "list-vertex-id",
+                              "boolean-edge-id", "null-ordering-entry"])
 def test_wrongly_shaped_graph_file_is_input_error(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))

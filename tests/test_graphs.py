@@ -115,6 +115,32 @@ def test_json_rejects_invalid():
         graph_from_json(obj)
 
 
+@pytest.mark.parametrize("value", ["missing", None, True, [0]],
+                         ids=["missing", "null", "bool", "list"])
+@pytest.mark.parametrize("kind,name", [("vertex", "id"), ("vertex", "parity"),
+                                       ("edge", "id"), ("edge", "tail"),
+                                       ("edge", "head")])
+def test_json_field_errors_name_the_field(kind, name, value):
+    obj = graph_to_json(line_graph(3, "eoe"))
+    item = obj["vertices" if kind == "vertex" else "edges"][1]
+    if value == "missing":
+        del item[name]
+    else:
+        item[name] = value
+    with pytest.raises(ValueError,
+                       match=f"graph {kind} '{name}' must be a string or number"):
+        graph_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [None, True, [0]], ids=["null", "bool", "list"])
+def test_json_ordering_entries_are_strings_or_numbers(value):
+    obj = graph_to_json(line_graph(3, "eoe"))
+    obj["orderings"]["0"] = [value]
+    with pytest.raises(ValueError, match="'orderings' must map vertex ids to "
+                                         "lists of strings or numbers"):
+        graph_from_json(obj)
+
+
 def test_lookups_index_first_declarations():
     line = line_graph(3, "eoe")
     g = ClusterGraph(line.name,

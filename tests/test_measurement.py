@@ -19,6 +19,7 @@ from gcs.graphs import line_graph
 from gcs.groups import builtin_group
 from gcs.measurement import analyze_entanglement, measure, outcome_distribution
 from gcs.states import Register, SparseState, fidelity, group_basis_state, random_state
+from helpers import entries
 
 
 def eoe_state(G):
@@ -54,7 +55,7 @@ def test_eoe_group_measurement_collapses_to_correlated_pair():
     out = measure(eoe_state(G), "1", "group", forced="(12)")
     m = G.element("(12)")
     assert out.post_state.register.sites == ("0", "2")
-    assert out.post_state.to_dict() == {(m, m): pytest.approx(1.0)}
+    assert entries(out.post_state) == {(m, m): pytest.approx(1.0)}
     assert abs(out.probability - 1 / 6) < 1e-12
     ent = analyze_entanglement(out.post_state, ("0",))
     assert ent == {"rank": 1, "entropy": pytest.approx(0.0, abs=1e-12), "maximal": True}
@@ -68,7 +69,7 @@ def test_oeo_group_measurement_leaves_maximally_entangled_pair():
     want = {}
     for a in range(G.order):
         want[(a, G.table[G.inverse[m], a])] = 1 / np.sqrt(G.order)
-    got = out.post_state.to_dict()
+    got = entries(out.post_state)
     assert set(got) == set(want)
     assert all(abs(got[k] - want[k]) < 1e-12 for k in want)
     ent = analyze_entanglement(out.post_state, ("0",))

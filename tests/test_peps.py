@@ -20,6 +20,7 @@ from gcs.peps import (
     odd_tensor,
 )
 from gcs.states import fidelity
+from helpers import entries
 
 
 def general_small():
@@ -55,7 +56,7 @@ def test_contraction_is_unnormalized_but_proportional():
     g = line_graph(3, "eoe")
     net = contract(build_peps(g, G))
     # every surviving bond assignment carries amplitude one
-    assert net.to_dict() == {(z, z, z): 1.0 for z in range(3)}
+    assert entries(net) == {(z, z, z): 1.0 for z in range(3)}
     circuit = build_cluster_state(g, G)
     assert abs(fidelity(net, circuit) - 1.0) < 1e-12
 
@@ -134,7 +135,7 @@ def test_isolated_odd_vertex_still_sums():
     G = builtin_group("Z3")
     g = build_graph("dot", [("w", "odd")], [])
     net = contract(build_peps(g, G))
-    assert net.to_dict() == {(0,): 1.0, (1,): 1.0, (2,): 1.0}
+    assert entries(net) == {(0,): 1.0, (1,): 1.0, (2,): 1.0}
 
 
 def _bond_enumeration(net):
@@ -176,4 +177,4 @@ def _bond_enumeration(net):
 def test_contraction_matches_bond_enumeration(graph):
     g = graph()
     net = build_peps(g, builtin_group("S3"))
-    assert contract(net).to_dict() == _bond_enumeration(net)
+    assert entries(contract(net)) == _bond_enumeration(net)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gcs.builder import build_cluster_state, schedule
-from gcs.corpus import corpus_pairs
+from gcs.corpus import corpus_pairs, general_small_graph
 from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
 from gcs.groups import FiniteGroup, _mul, builtin_group
 from gcs.qdouble import (
@@ -48,6 +48,7 @@ from gcs.states import (
     residual_norm,
     sample_states,
 )
+from helpers import entries
 
 
 def mono(G, variables, sites):
@@ -165,7 +166,7 @@ def test_apply_projector_multiplication_and_weight():
     psi = SparseState.from_dict(reg, {(3, 2): 1.0, (1, 2): 2.0})
     op = mono(G, (), {"a": [Factor("T", Word.const(3)), Factor("XL", Word.const(1))]})
     out = op.apply(psi)
-    assert out.to_dict() == {(G.table[1, 3], 2): 1.0}
+    assert entries(out) == {(G.table[1, 3], 2): 1.0}
     zop = mono(G, (), {"b": [Factor("Z", irrep_label="std", i=0, j=0)]})
     out2 = zop.apply(psi)
     mats = G.irrep("std").matrices
@@ -184,7 +185,7 @@ def test_apply_solves_chained_variables_without_enumeration():
     psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0, (2, 5, 0): 0.5})
     out = op.apply(psi)
     y, y2 = G.table[G.inverse[2], 4], G.table[G.inverse[2], 5]
-    assert out.to_dict() == {(2, 4, G.table[y, 1]): 1.0,
+    assert entries(out) == {(2, 4, G.table[y, 1]): 1.0,
                              (2, 5, G.table[y2, 0]): 0.5}
 
 
@@ -486,7 +487,7 @@ def test_batched_route_check_matches_per_state_loop(case):
     loop, _ = _route_loop(a, b, reg, 5, 5, 64)
     batched = stabilizers_agree_on_random_states(
         {"": a}, {"": b}, reg, np.random.default_rng(5), 5, 64)[""]
-    assert batched == pytest.approx(max(loop), rel=1e-12)
+    assert batched == max(loop)
     assert batched > 0.1
 
 
@@ -497,10 +498,71 @@ def test_basis_check_matches_per_key_loop():
     loop = [residual_norm(a.apply(p), b.apply(p))
             for p in (group_basis_state(reg, key)
                       for key in np.ndindex(*(G.order,) * reg.width))]
-    assert operators_agree_on_basis(a, b, reg) == pytest.approx(max(loop),
-                                                                rel=1e-12)
+    assert operators_agree_on_basis(a, b, reg) == max(loop)
     assert max(loop) > 1
     assert operators_agree_on_basis(a, a, reg) == 0.0
+
+
+def _scrambled_closed_forms(gname):
+    # the closed forms of general-small against those of the same graph
+    # with e1's gate order rotated: nonzero route residuals
+    G, g = builtin_group(gname), general_small_graph()
+    return (G, Register(G, g.vertex_ids), closed_form_stabilizers(g, G),
+            closed_form_stabilizers(scramble_ordering(g, "e1"), G))
+
+
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8"])
+def test_route_check_equals_per_pair_residuals_bit_for_bit(gname):
+    # each stacked block sums its terms in the order residual_norm sums
+    # them for that operator pair and state alone
+    _, reg, a, b = _scrambled_closed_forms(gname)
+    psis = [SparseState(reg, c, amps) for c, amps in
+            zip(*sample_states(reg, np.random.default_rng(5), 5, 64))]
+    got = stabilizers_agree_on_random_states(a, b, reg,
+                                             np.random.default_rng(5), 5, 64)
+    assert got == {label: max(residual_norm(a[label].apply(p),
+                                            b[label].apply(p)) for p in psis)
+                   for label in a}
+    assert sum(r > 0.1 for r in got.values()) > 1
+
+
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8"])
+def test_basis_check_equals_per_key_residuals_bit_for_bit(gname):
+    G, reg, a, b = _scrambled_closed_forms(gname)
+    worst = 0.0
+    for label in ("even[e1]", f"odd[o0,{G.labels[0]}]", f"odd[o0,{G.labels[1]}]"):
+        support = sorted(set(a[label].support()) | set(b[label].support()),
+                         key=str)
+        axes = [reg.axis(s) for s in support]
+        loop = []
+        for digits in np.ndindex(*(G.order,) * len(support)):
+            key = np.zeros(reg.width, dtype=int)
+            key[axes] = digits
+            p = group_basis_state(reg, key)
+            loop.append(residual_norm(a[label].apply(p), b[label].apply(p)))
+        assert operators_agree_on_basis(a[label], b[label], reg) == max(loop)
+        worst = max(worst, max(loop))
+    assert worst >= 1
+
+
+def test_route_check_groups_labels_by_both_sides():
+    # b splits the o0 family that a keeps whole: one member is an unbound
+    # copy, so the labels of that family form two groups
+    G, reg, a, b = _scrambled_closed_forms("S3")
+    g = scramble_ordering(general_small_graph(), "e1")
+    label = f"odd[o0,{G.labels[2]}]"
+    assert b[label].family is not None
+    b = {**b, label: closed_form_odd(g, G, "o0", 2)}
+    assert b[label].family is None
+    assert operators_agree_on_basis(b[label], closed_form_stabilizers(g, G)[label],
+                                    reg) == 0.0
+    got = stabilizers_agree_on_random_states(a, b, reg,
+                                             np.random.default_rng(3), 5, 64)
+    assert got == {
+        lab: stabilizers_agree_on_random_states(
+            {"": op}, {"": b[lab]}, reg, np.random.default_rng(3), 5, 64)[""]
+        for lab, op in a.items()}
+    assert got[label] > 0.1
 
 
 def test_batched_route_check_catches_a_one_state_mismatch():
@@ -520,7 +582,7 @@ def test_batched_route_check_catches_a_one_state_mismatch():
     assert loop[:-1] == [0.0] * 4 and loop[-1] > 0
     batched = stabilizers_agree_on_random_states(
         {"": a}, {"": b}, reg, np.random.default_rng(9), 5, 64)[""]
-    assert batched == pytest.approx(loop[-1], rel=1e-12)
+    assert batched == loop[-1]
     assert stabilizers_agree_on_random_states(
         {"": a}, {"": a}, reg, np.random.default_rng(9), 5, 64)[""] == 0.0
 
@@ -535,7 +597,7 @@ def test_eoe_even_stabilizer_explicit_action():
     reg = Register(G, g.vertex_ids)
     psi = SparseState.from_dict(reg, {(2, 2, 0): 1.0, (1, 2, 0): 1.0})
     out = op.apply(psi)
-    assert out.to_dict() == {(2, 2, 0): 1.0}
+    assert entries(out) == {(2, 2, 0): 1.0}
 
 
 def test_initial_stabilizer_labels_and_forms():

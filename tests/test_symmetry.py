@@ -18,6 +18,7 @@ from gcs.symmetry import (
     ring_even_cycle,
     verify_symmetry_algebra,
 )
+from helpers import entries
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -139,13 +140,13 @@ def test_odd_symmetry_matches_digit_loop():
     odd = [reg.axis(w) for w in g.odd_vertices]
     for x in range(G.order):
         want = {}
-        for key, amp in chi.items():
+        for key, amp in entries(chi).items():
             key = list(key)
             for c in odd:
                 key[c] = int(G.table[key[c], G.inverse[x]])
             want[tuple(key)] = amp
         out = apply_u_odd(chi, g, x)
-        assert out.to_dict() == want
+        assert entries(out) == want
         assert np.all(np.diff(out.codes) > 0)
 
 
