@@ -16,15 +16,13 @@ import numpy as np
 
 from .graphs import ClusterGraph
 from .groups import FiniteGroup, _mul
-from .states import DENSE_CAP, OverBudget, Register, SparseState
+from .states import OverBudget, Register, SparseState
 
 __all__ = [
     "Gate",
     "GateSchedule",
     "schedule",
-    "depth",
     "build_cluster_state",
-    "build_qubit_reference",
     "OverBudget",
     "check_keys",
     "odd_assignments",
@@ -71,15 +69,6 @@ def schedule(g: ClusterGraph) -> GateSchedule:
             if parities[gates[-1].control] != "odd":
                 raise ValueError(f"edge {eid}: control endpoint is not odd")
     return tuple(gates)
-
-
-def depth(sched: GateSchedule) -> int:
-    """Layers needed when each target takes one gate per layer: the maximum
-    number of gates sharing a target."""
-    counts: dict = {}
-    for gate in sched:
-        counts[gate.target] = counts.get(gate.target, 0) + 1
-    return max(counts.values(), default=0)
 
 
 def odd_assignments(g: ClusterGraph, reg: Register) -> tuple:
@@ -131,31 +120,3 @@ def build_cluster_state(g: ClusterGraph, G: FiniteGroup) -> SparseState:
                    dtype=complex)
     return SparseState(reg, codes.ravel(), amps)
 
-
-def build_qubit_reference(g: ClusterGraph, G: FiniteGroup) -> SparseState:
-    """Independent qubit-route reference for order-2 groups: the standard
-    CPHASE-built cluster state with a Hadamard applied on every even site.
-
-    Built densely with explicit |+> preparation, CZ phases and Hadamards —
-    no shared code with the group circuit.  Errors for |G| != 2.
-    """
-    if G.order != 2:
-        raise ValueError("qubit reference requires an order-2 group")
-    sites = g.vertex_ids
-    nq = len(sites)
-    dim = 2**nq
-    if dim > DENSE_CAP:
-        raise ValueError(f"dense dimension {dim} exceeds cap {DENSE_CAP}")
-    bit = {s: nq - 1 - i for i, s in enumerate(sites)}  # site -> bit position
-    vec = np.full(dim, dim ** (-0.5), dtype=complex)  # |+...+>
-    idx = np.arange(dim)
-    for e in g.edges:
-        both = ((idx >> bit[e.tail]) & 1) & ((idx >> bit[e.head]) & 1)
-        vec = np.where(both == 1, -vec, vec)
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    for v in g.even_vertices:
-        b = bit[v]
-        shaped = vec.reshape(2 ** (nq - 1 - b), 2, 2**b)
-        vec = np.einsum("ij,ajb->aib", h, shaped).reshape(dim)
-    # site i holds bit nq-1-i of the index, so the index is the code
-    return SparseState(Register(G, sites), idx, vec)

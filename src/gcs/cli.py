@@ -54,6 +54,7 @@ from .symmetry import verify_symmetry_algebra
 __all__ = ["main", "run"]
 
 MAX_STATES = 1_000  # random states a symmetry check may draw (--states)
+MAX_DUMP = 4_096  # keys a build report may list (--dump-cap)
 
 
 class InputError(Exception):
@@ -181,6 +182,9 @@ def _cmd_group(args) -> dict:
 
 
 def _cmd_build(args) -> dict:
+    if not 0 <= args.dump_cap <= MAX_DUMP:
+        raise InputError(
+            f"--dump-cap needs 0 to {MAX_DUMP}, got {args.dump_cap}")
     G, ghash = _load_group(args.group)
     g, fhash = _load_graph(args.graph)
     psi = build_cluster_state(g, G)
@@ -449,7 +453,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a cluster state and dump it")
     common(p, graph=True)
     p.add_argument("--dump-cap", type=int, default=64,
-                   help="dump amplitudes when the state has at most this many keys")
+                   help="dump amplitudes when the state has at most this "
+                        f"many keys (0 to {MAX_DUMP})")
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("stabilizers",

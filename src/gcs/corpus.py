@@ -28,7 +28,6 @@ from .states import SparseState, fidelity
 __all__ = [
     "CorpusEntry",
     "build_corpus",
-    "corpus_entry",
     "corpus_pairs",
     "general_small_graph",
     "corpus_battery",
@@ -130,13 +129,6 @@ def build_corpus() -> tuple:
         lat = build_qd_lattice(*dims)
         add(qd_cluster_graph(lat), groups=_qd_groups(dims))
     return tuple(entries)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    for e in build_corpus():
-        if e.name == name:
-            return e
-    raise KeyError(f"no corpus entry named {name!r}")
 
 
 def corpus_pairs(max_edges: int | None = None, groups=None) -> tuple:

@@ -33,7 +33,6 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "load_graph_file",
-    "scramble_ordering",
     "MAX_EDGES",
 ]
 
@@ -98,11 +97,6 @@ class ClusterGraph:
 
     def incident_edges(self, v: str) -> tuple[Edge, ...]:
         return self._incidence.get(v, ())
-
-    def with_ordering(self, vertex: str, order: Sequence[str]) -> "ClusterGraph":
-        new = dict(self.orderings)
-        new[vertex] = tuple(order)
-        return ClusterGraph(self.name, self.vertices, self.edges, new)
 
 
 @dataclass(frozen=True)
@@ -248,15 +242,6 @@ def ring_graph(n: int, directions: Sequence[str] | None = None) -> ClusterGraph:
         tail, head = (a, b) if d == "fwd" else (b, a)
         edges.append(Edge(f"e{j}", tail, head))
     return build_graph(f"ring{n}", vertices, edges)
-
-
-def scramble_ordering(g: ClusterGraph, vertex: str, rotation: int = 1) -> ClusterGraph:
-    """Cyclically rotate the gate order at one even vertex (negative-control
-    helper: changes the state iff the group is non-abelian and the vertex
-    has two same-direction edges)."""
-    order = list(g.orderings[vertex])
-    k = rotation % len(order)
-    return g.with_ordering(vertex, order[k:] + order[:k])
 
 
 # --- Serialization ---

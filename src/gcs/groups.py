@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ValidationReport",
     "validate_group",
     "validate_irreps",
-    "conjugacy_classes",
     "builtin_group",
     "catalog_digest",
     "catalog_names",
@@ -92,22 +91,9 @@ class FiniteGroup:
 
     # --- Element algebra ---
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def conjugate(self, g: int, h: int) -> int:
         """Return h g h^-1."""
         return int(self.table[self.table[h, g], self.inverse[h]])
-
-    def product(self, elems: Iterable[int]) -> int:
-        """Left-to-right product of ``elems`` (empty product = identity)."""
-        out = 0
-        for e in elems:
-            out = int(self.table[out, e])
-        return out
 
     def element(self, label: str) -> int:
         try:
@@ -230,29 +216,6 @@ def validate_irreps(G: FiniteGroup, irreps: Sequence[Irrep] | None = None) -> Va
         bad.append(f"completeness violation: sum of dim^2 = {total} != {n}")
     res["completeness"] = float(abs(total - n))
     return ValidationReport(f"{G.name}:irreps", tuple(bad), res)
-
-
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Partition of the elements into conjugation orbits.
-
-    Classes are sorted by their minimum element, members ascending; the
-    identity class {0} always comes first.
-    """
-    seen = [False] * G.order
-    classes: list[tuple[int, ...]] = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        orbit = sorted({G.conjugate(g, h) for h in range(G.order)})
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(orbit))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
-
-
-def centralizer(G: FiniteGroup, g: int) -> tuple[int, ...]:
-    return tuple(h for h in range(G.order) if G.multiply(h, g) == G.multiply(g, h))
 
 
 # --- Representation combinators ---

@@ -17,7 +17,6 @@ from .states import (
     basis_matrix_to_rep,
     project_site,
     rep_basis_order,
-    schmidt_data,
     site_marginal,
 )
 
@@ -25,11 +24,9 @@ __all__ = [
     "MeasurementOutcome",
     "outcome_distribution",
     "measure",
-    "analyze_entanglement",
 ]
 
 ZERO_PROBABILITY = 1e-12
-DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,3 @@ def measure(state: SparseState, site, basis: str = "group",
         post_state=post.normalized(),
         distribution=dist,
     )
-
-
-def analyze_entanglement(state: SparseState, part_a) -> dict:
-    """Schmidt rank, entanglement entropy in bits, and whether the kept
-    Schmidt spectrum is flat (maximal entanglement at its rank)."""
-    vals, rank, entropy = schmidt_data(state, part_a)
-    kept = vals[:rank]
-    maximal = bool(rank > 0 and float(kept.max() - kept.min()) < DEGENERACY_TOL)
-    return {"rank": rank, "entropy": entropy, "maximal": maximal}

@@ -28,20 +28,9 @@ from .states import Register, SparseState, fidelity
 __all__ = [
     "PepsNetwork",
     "build_peps",
-    "odd_tensor",
-    "even_tensor",
     "contract",
     "compare_to_circuit",
 ]
-
-
-def odd_tensor(G: FiniteGroup, legs: int) -> np.ndarray:
-    """Copy tensor, axes (physical, leg 1, ..., leg k)."""
-    n = G.order
-    t = np.zeros((n,) * (legs + 1))
-    for g in range(n):
-        t[(g,) * (legs + 1)] = 1.0
-    return t
 
 
 def _word_values(G: FiniteGroup, senses, cols) -> np.ndarray:
@@ -56,19 +45,6 @@ def _word_values(G: FiniteGroup, senses, cols) -> np.ndarray:
         if sense == "in":
             val = _mul(G, val, G.inverse[col])
     return val
-
-
-def even_tensor(G: FiniteGroup, senses) -> np.ndarray:
-    """Word tensor for one even site, axes (physical, leg 1, ..., leg k);
-    ``senses`` gives each leg's orientation, "out" or "in", in gate order."""
-    n = G.order
-    k = len(senses)
-    legs = np.indices((n,) * k).reshape(k, -1)
-    words = _word_values(G, senses, [legs[i] for i in range(k)])
-    t = np.zeros((n,) * (k + 1))
-    flat = t.reshape(n, -1)
-    flat[words, np.arange(legs.shape[1] if k else 1)] = 1.0
-    return t
 
 
 @dataclass(frozen=True)

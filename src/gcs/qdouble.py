@@ -33,22 +33,15 @@ import numpy as np
 
 from .builder import build_cluster_state
 from .graphs import ClusterGraph, Edge, build_graph
-from .groups import FiniteGroup, centralizer, conjugacy_classes
+from .groups import FiniteGroup
 from .stabilizers import ConditionalMonomial, Factor, Word
-from .states import (
-    Register,
-    SparseState,
-    fidelity,
-    project_site,
-    residual_norm,
-)
+from .states import Register, SparseState, fidelity, project_site
 
 __all__ = [
     "QdLattice",
     "check_qd_dims",
     "build_qd_lattice",
     "qd_cluster_graph",
-    "qd_stabilizers",
     "shifted_plaquette",
     "dressed_star",
     "prepare_qd_with_measurement",
@@ -56,7 +49,6 @@ __all__ = [
     "z2_toric_reference",
     "wilson_cycles",
     "sector_matched_fidelity",
-    "conjugacy_class_projection_check",
 ]
 
 SLOTS = ("U", "L", "D", "R")
@@ -103,18 +95,15 @@ class QdLattice:
 
     @cached_property
     def _ids(self) -> tuple:
-        """One id -> item dict each for links, plaquettes and stars."""
+        """One id -> item dict each for plaquettes and stars."""
         return tuple({it.id: it for it in items}
-                     for items in (self.links, self.plaquettes, self.stars))
-
-    def link(self, lid: str) -> QdLink:
-        return self._ids[0][lid]
+                     for items in (self.plaquettes, self.stars))
 
     def plaquette(self, pid: str) -> QdPlaquette:
-        return self._ids[1][pid]
+        return self._ids[0][pid]
 
     def star(self, sid: str) -> QdStar:
-        return self._ids[2][sid]
+        return self._ids[1][sid]
 
 
 def check_qd_dims(l1: int, l2: int) -> None:
@@ -246,14 +235,6 @@ def shifted_plaquette(lat: QdLattice, G: FiniteGroup, pid: str,
         .times(Word.var(names[0], True)).times(Word.const(m))
     sites[p.word[3]] = (Factor("T", closing),)
     return ConditionalMonomial(G, tuple(names), sites)
-
-
-def qd_stabilizers(lat: QdLattice, G: FiniteGroup) -> dict:
-    stabs = {f"A[{s.id},{G.labels[g]}]": star_operator(lat, G, s.id, g)
-             for s in lat.stars for g in range(G.order)}
-    for p in lat.plaquettes:
-        stabs[f"B[{p.id}]"] = shifted_plaquette(lat, G, p.id, 0)
-    return stabs
 
 
 # --- Measured-variant star dressing ---
@@ -398,96 +379,3 @@ def sector_matched_fidelity(lat: QdLattice, state: SparseState) -> float:
     a = _project_wilson_even(state, lat).normalized()
     b = _project_wilson_even(ref, lat).normalized()
     return fidelity(a, b)
-
-
-# --- Single-vertex conjugacy-class phenomenology ---
-
-
-def _mini_star_graph() -> ClusterGraph:
-    """One gauge vertex B with legs N/S/E/W and the four quadrant
-    plaquettes; N and S point into B, E and W point out of it."""
-    vertices = [("N", "odd"), ("S", "odd"), ("E", "odd"), ("W", "odd"),
-                ("B", "even"),
-                ("SW", "even"), ("SE", "even"), ("NW", "even"), ("NE", "even")]
-    edges = [
-        Edge("bE", "B", "E"), Edge("bW", "B", "W"),
-        Edge("bN", "N", "B"), Edge("bS", "S", "B"),
-        Edge("swW", "SW", "W"), Edge("swS", "SW", "S"),
-        Edge("seS", "SE", "S"), Edge("seE", "SE", "E"),
-        Edge("nwW", "NW", "W"), Edge("nwN", "NW", "N"),
-        Edge("neN", "NE", "N"), Edge("neE", "NE", "E"),
-    ]
-    orderings = {
-        "B": ("bE", "bW", "bN", "bS"),
-        "SW": ("swW", "swS"),  # word reads z_S z_W
-        "SE": ("seS", "seE"),  # word reads z_E z_S
-        "NW": ("nwW", "nwN"),  # word reads z_N z_W
-        "NE": ("neN", "neE"),  # word reads z_E z_N
-    }
-    return build_graph("mini-star", vertices, edges, orderings)
-
-
-def _mini_star_operator(G: FiniteGroup, g: int) -> ConditionalMonomial:
-    sites = {
-        "N": (Factor("XR", Word.const(g)),),
-        "S": (Factor("XR", Word.const(g)),),
-        "W": (Factor("XL", Word.const(g)),),
-        "E": (Factor("XL", Word.const(g)),),
-    }
-    return ConditionalMonomial(G, (), sites)
-
-
-def _mini_prepare(G: FiniteGroup, red_vecs: dict) -> SparseState:
-    g = _mini_star_graph()
-    psi = build_cluster_state(g, G)
-    for red, vec in red_vecs.items():
-        psi = project_site(psi, red, vec)
-    psi = project_site(psi, "B", _uniform_vec(G.order))
-    return psi
-
-
-def conjugacy_class_projection_check(G: FiniteGroup, member: int) -> dict:
-    """Projecting the four quadrant holonomies onto a full conjugacy class
-    keeps every uniform star element as a stabilizer; pinning them to
-    specific class members keeps only the centralizer of the outcome.
-    Returns the class and the three residuals that show it (the outside
-    minimum is ``inf`` when the centralizer is the whole group)."""
-    classes = conjugacy_classes(G)
-    cls = next(c for c in classes if member in c)
-    class_vec = np.zeros(G.order)
-    class_vec[list(cls)] = 1 / np.sqrt(len(cls))
-    uniform = _mini_prepare(G, {r: class_vec for r in ("SW", "SE", "NW", "NE")})
-    if uniform.norm() < 1e-12:
-        raise ValueError("class projection annihilated the state")
-    uniform = uniform.normalized()
-    residual_class = 0.0
-    for g in range(G.order):
-        op = _mini_star_operator(G, g)
-        residual_class = max(residual_class,
-                             residual_norm(op.apply(uniform), uniform))
-    h = member
-    basis = {}
-    for red, out in (("SW", 0), ("SE", h), ("NW", 0), ("NE", h)):
-        vec = np.zeros(G.order)
-        vec[out] = 1.0
-        basis[red] = vec
-    pinned = _mini_prepare(G, basis)
-    if pinned.norm() < 1e-12:
-        raise ValueError("pinned outcomes annihilated the state")
-    pinned = pinned.normalized()
-    commuting = centralizer(G, h)
-    residual_centralizer = 0.0
-    residual_outside = np.inf
-    for g in range(G.order):
-        op = _mini_star_operator(G, g)
-        r = residual_norm(op.apply(pinned), pinned)
-        if g in commuting:
-            residual_centralizer = max(residual_centralizer, r)
-        else:
-            residual_outside = min(residual_outside, r)
-    return {
-        "class": [G.labels[c] for c in cls],
-        "residual_class_uniform": float(residual_class),
-        "residual_centralizer": float(residual_centralizer),
-        "min_residual_outside_centralizer": float(residual_outside),
-    }

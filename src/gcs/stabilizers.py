@@ -18,15 +18,14 @@ stabilizers through the entangling circuit, one conjugation rule per gate,
 and direct closed forms.  Agreement of the two routes, in action on
 states, is this module's central cross-check.
 
-Every residual is computed by one kernel, ``_residuals``: ``verify``, the
-route check and the basis comparison call it, as does the ring symmetry
-check.  It stacks each family's (member, state) blocks in passes, acts once
-per pass, and sums each block as ``residual_norm`` sums its pair alone
-(``states._block_sums``, which skips the per-block sums when every term is
-0.0).
+Every residual is computed by one kernel, ``_residuals``: ``verify`` and
+the route check call it, as does the ring symmetry check.  It stacks each
+family's (member, state) blocks in passes, acts once per pass, and sums each
+block as if its pair of states stood alone (``states._block_sums``, which
+skips the per-block sums when every term is 0.0).
 
 Application order convention: within one site's factor list, index 0 acts
-FIRST (input side).  Printing shows operator order (last applied leftmost).
+FIRST (input side).
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ __all__ = [
     "closed_form_even",
     "closed_form_odd",
     "closed_form_stabilizers",
-    "css_stabilizers",
     "verify",
-    "operators_agree_on_basis",
     "stabilizers_agree_on_random_states",
 ]
 
@@ -117,18 +114,6 @@ class Word:
         for f in self.factors[1:]:
             val = _mul(G, val, letter(*f))
         return val
-
-    def pretty(self, G: FiniteGroup, binding: dict | None = None) -> str:
-        """Letters by label; a name bound in ``binding`` prints as its
-        value."""
-        def text(v):
-            v = binding.get(v, v) if binding else v
-            return v if isinstance(v, str) else G.labels[v]
-
-        if not self.factors:
-            return G.labels[0]
-        return " ".join(text(v) + ("^-1" if inv else "")
-                        for v, inv in self.factors)
 
 
 def _conjugated(word: Word, var: str) -> Word:
@@ -284,26 +269,11 @@ class ConditionalMonomial:
             return out, amps
         return out[alive], amps[alive]
 
+    # its one non-test user: perfbench/tracing.py wraps it (CI's --trace 1 runs)
     def apply(self, state: SparseState) -> SparseState:
         """Linear action on a state (see ``act_rows``)."""
         return SparseState(state.register,
                            *self.act_rows(state.register, state.codes, state.amps))
-
-    # --- Printing ---
-
-    def pretty(self) -> str:
-        G, binding = self.group, self.binding
-        bits = []
-        if self.variables:
-            bits.append("sum[" + ",".join(self.variables) + "]")
-        for site in sorted(self.sites, key=str):
-            for f in reversed(self.sites[site]):  # operator order: last applied first
-                if f.kind == "Z":
-                    bits.append(f"Z[{site}:{f.irrep_label},{f.i},{f.j}]")
-                else:
-                    name = {"T": "T", "XL": "Xl", "XR": "Xr"}[f.kind]
-                    bits.append(f"{name}[{site}:({f.word.pretty(G, binding)})]")
-        return " ".join(bits) if bits else "1"
 
 
 def _monomial(G: FiniteGroup, variables, site_factors) -> ConditionalMonomial:
@@ -314,24 +284,19 @@ def _monomial(G: FiniteGroup, variables, site_factors) -> ConditionalMonomial:
 # --- Stabilizer sets: dicts from label to ConditionalMonomial ---
 
 
-def initial_stabilizers(g: ClusterGraph, G: FiniteGroup,
-                        include_right: bool = False) -> dict:
+def initial_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
     """Product-state stabilizers before any gate: the identity projector on
     each even site, and every left multiplication on each odd site (the
-    right-multiplication family is redundant and off by default).  Each
-    odd site's multiplications are one family in ``PARAM``, bound per
-    element."""
+    right multiplications are redundant).  Each odd site's multiplications
+    are one family in ``PARAM``, bound per element."""
     stabs = {}
     for v in g.even_vertices:
         stabs[f"even[{v}]"] = _monomial(G, (), {v: [Factor("T", Word.const(0))]})
     x = Word.var(PARAM)
     for w in g.odd_vertices:
         left = _monomial(G, (), {w: [Factor("XL", x)]})
-        right = _monomial(G, (), {w: [Factor("XR", x)]})
         for e in range(G.order):
             stabs[f"odd[{w},{G.labels[e]}]"] = left.bind({PARAM: e})
-            if include_right:
-                stabs[f"odd-right[{w},{G.labels[e]}]"] = right.bind({PARAM: e})
     return stabs
 
 
@@ -558,29 +523,6 @@ def closed_form_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
     return stabs
 
 
-def css_stabilizers(g: ClusterGraph, G: FiniteGroup) -> dict:
-    """Order-2 groups only: the multiplication/representation-split forms —
-    a sign-representation Z on an even site and each of its neighbours, an
-    X on an odd site and each of its neighbours."""
-    if G.order != 2:
-        raise ValueError("the split stabilizer forms require an order-2 group")
-    sign = G.irreps[1].label
-    stabs = {}
-    for v in g.even_vertices:
-        sites = {v: [Factor("Z", irrep_label=sign)]}
-        for e in g.incident_edges(v):
-            other = e.head if e.tail == v else e.tail
-            sites.setdefault(other, []).append(Factor("Z", irrep_label=sign))
-        stabs[f"css-even[{v}]"] = _monomial(G, (), sites)
-    for w in g.odd_vertices:
-        sites = {w: [Factor("XL", Word.const(1))]}
-        for e in g.incident_edges(w):
-            other = e.head if e.tail == w else e.tail
-            sites.setdefault(other, []).append(Factor("XL", Word.const(1)))
-        stabs[f"css-odd[{w}]"] = _monomial(G, (), sites)
-    return stabs
-
-
 # --- Verification ---
 
 
@@ -634,8 +576,8 @@ def _residuals(a: dict, b: dict | None, register: Register,
     rewrite touches, in passes (``_passes``) gathered from the states and
     their one ``digit_table``, and each side acts once per pass.  A
     one-block pass acts on the state's own arrays.  Each block is summed by
-    ``states._block_sums``, so its value is the sum whose square root
-    ``residual_norm`` returns for that block's pair of states alone."""
+    ``states._block_sums``, so its value is bit for bit the sum of that
+    block's pair of states taken alone."""
     dim = register.dimension
     states, rows = codes.shape
     table = register.digit_table(codes.ravel())
@@ -675,22 +617,6 @@ def verify(stabs: dict, state: SparseState) -> dict:
     sq = _residuals(stabs, None, state.register, state.codes[None],
                     state.amps[None])
     return {label: float(np.sqrt(s[0])) / norm for label, s in sq.items()}
-
-
-def operators_agree_on_basis(a: ConditionalMonomial, b: ConditionalMonomial,
-                             register: Register) -> float:
-    """Max action deviation over every basis key of the joint support
-    (other sites pinned to the identity element)."""
-    support = sorted(set(a.support()) | set(b.support()), key=str)
-    n = register.group.order
-    if n ** len(support) > 4096:
-        raise ValueError("support too large for exhaustive basis comparison")
-    digits = np.indices((n,) * len(support)).reshape(len(support), n ** len(support))
-    codes = sum((register.place_value(s, d) for s, d in zip(support, digits)),
-                np.zeros(digits.shape[1], dtype=np.int64))
-    sq = _residuals({"": a}, {"": b}, register, codes[:, None],
-                    np.ones((len(codes), 1), dtype=complex))[""]
-    return float(np.sqrt(sq.max()))
 
 
 def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,

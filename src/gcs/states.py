@@ -19,44 +19,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from .groups import FiniteGroup, Irrep
+from .groups import FiniteGroup
 
 __all__ = [
     "PRUNE_TOL",
-    "DENSE_CAP",
-    "RDM_CAP",
     "OverBudget",
     "MAX_SITES",
     "check_width",
     "Register",
     "SparseState",
-    "group_basis_state",
-    "trivial_irrep_state",
-    "rep_basis_state",
     "inner_product",
-    "residual_norm",
     "merge_codes",
     "code_residuals",
     "fidelity",
     "project_site",
-    "tensor",
     "rep_basis_order",
     "basis_matrix_to_rep",
-    "change_basis",
-    "reduced_density_matrix",
-    "schmidt_data",
     "site_marginal",
     "sample_states",
     "random_state",
 ]
 
 PRUNE_TOL = 1e-14
-DENSE_CAP = 2**20
-RDM_CAP = 4096
 CODE_BITS = 62  # codes stay below 2**62, so block offsets fit an int64
 MAX_SITES = CODE_BITS - 1  # a code is charged at least one bit per site
 
@@ -176,23 +162,6 @@ class SparseState:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SparseState is immutable")
 
-    @classmethod
-    def from_dict(cls, register: Register, entries: Mapping[tuple, complex]) -> "SparseState":
-        if not entries:
-            return cls.zero(register)
-        keys = np.array([list(k) for k in entries], dtype=np.int64)
-        amps = np.array(list(entries.values()), dtype=complex)
-        keys = keys.reshape(len(amps), register.width)
-        if keys.size and not (0 <= keys.min() and keys.max() < register.group.order):
-            # an out-of-range digit would alias another basis vector's code
-            raise ValueError("basis key digits must lie in 0..|G|-1")
-        return cls(register, register.encode(keys), amps)
-
-    @classmethod
-    def zero(cls, register: Register) -> "SparseState":
-        return cls(register, np.zeros(0, dtype=np.int64),
-                   np.zeros(0, dtype=complex))
-
     # --- Inspection ---
 
     def __len__(self) -> int:
@@ -203,15 +172,6 @@ class SparseState:
         """(m, width) digit rows of the codes, decoded on each call."""
         return self.register.digit_table(self.codes).T
 
-    def amplitude(self, key: Sequence[int]) -> complex:
-        key = np.asarray(key, dtype=np.int64)
-        if np.any((key < 0) | (key >= self.register.group.order)):
-            return 0.0  # not a basis key
-        code = int(self.register.encode(key))
-        i = np.searchsorted(self.codes, code)
-        hit = i < len(self.codes) and self.codes[i] == code
-        return complex(self.amps[i]) if hit else 0.0
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
@@ -220,26 +180,6 @@ class SparseState:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return SparseState(self.register, self.codes, self.amps / n)
-
-    def scaled(self, c: complex) -> "SparseState":
-        return SparseState(self.register, self.codes, self.amps * c)
-
-    def add(self, other: "SparseState") -> "SparseState":
-        _check_same_register(self, other)
-        return SparseState(
-            self.register,
-            np.concatenate([self.codes, other.codes]),
-            np.concatenate([self.amps, other.amps]),
-        )
-
-    def dense(self) -> np.ndarray:
-        """Dense vector in row-major site order; guarded by DENSE_CAP."""
-        dim = self.register.dimension
-        if dim > DENSE_CAP:
-            raise ValueError(f"dense dimension {dim} exceeds cap {DENSE_CAP}")
-        vec = np.zeros(dim, dtype=complex)
-        vec[self.codes] = self.amps
-        return vec
 
 
 def _check_same_register(a: SparseState, b: SparseState) -> None:
@@ -291,8 +231,8 @@ def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
     """||lhs_j - rhs_j||^2 for each block j of two canonical stacks of
     (codes, amps), block j at offset dim * j.  A block's terms are summed
     by one ``np.sum`` in the order ``code_residuals`` gives them for that
-    block alone, so each value is the sum whose square root
-    ``residual_norm(lhs_j, rhs_j)`` returns, bit for bit."""
+    block alone, so each value is bit for bit the sum of the pair
+    (lhs_j, rhs_j) taken alone."""
     codes, sq = code_residuals(*lhs, *rhs)
     if not sq.any():  # sums of zeros are exact in any order
         return np.zeros(blocks)
@@ -309,44 +249,7 @@ def _block_sums(lhs, rhs, dim: int, blocks: int) -> np.ndarray:
     return sums
 
 
-# --- Constructors ---
-
-
-def group_basis_state(register: Register, key: Sequence[int]) -> SparseState:
-    key = tuple(int(k) for k in key)
-    if len(key) != register.width or any(not 0 <= k < register.group.order for k in key):
-        raise ValueError(f"invalid basis key {key}")
-    return SparseState.from_dict(register, {key: 1.0})
-
-
-def trivial_irrep_state(register: Register) -> SparseState:
-    """Equal superposition over every basis key: one copy of the
-    uniform one-site state on each register site."""
-    n, w = register.group.order, register.width
-    amps = np.full(register.dimension, n ** (-w / 2), dtype=complex)
-    return SparseState(register, np.arange(register.dimension), amps)
-
-
-def rep_basis_state(register: Register, site, irrep: Irrep, i: int, j: int) -> SparseState:
-    """sum_g sqrt(d/|G|) [irrep(g)]_{ij} |g> at ``site`` (register must be
-    the single-site register of that site)."""
-    if register.width != 1 or register.sites[0] != site:
-        raise ValueError("rep_basis_state builds single-site registers")
-    if not (0 <= i < irrep.dim and 0 <= j < irrep.dim):
-        raise ValueError("matrix indices out of range")
-    n = register.group.order
-    amps = np.sqrt(irrep.dim / n) * irrep.matrices[:, i, j]
-    return SparseState(register, np.arange(n), amps)
-
-
-def tensor(a: SparseState, b: SparseState) -> SparseState:
-    if a.register.group.name != b.register.group.name:
-        raise ValueError("tensor factors must share the group")
-    reg = Register(a.register.group, a.register.sites + b.register.sites)
-    codes = (np.repeat(a.codes, len(b)) * b.register.dimension
-             + np.tile(b.codes, len(a)))
-    amps = np.repeat(a.amps, len(b)) * np.tile(b.amps, len(a))
-    return SparseState(reg, codes, amps)
+# --- Random states ---
 
 
 def sample_states(register: Register, rng: np.random.Generator, count: int,
@@ -389,17 +292,6 @@ def inner_product(a: SparseState, b: SparseState) -> complex:
     return complex(np.sum(np.conj(a.amps[ia[hit]]) * b.amps[hit]))
 
 
-def residual_norm(a: SparseState, b: SparseState) -> float:
-    """||a - b|| computed amplitude-wise on the canonical forms.
-
-    Equivalent to ``a.add(b.scaled(-1)).norm()`` but without re-sorting the
-    concatenation, and exact: amplitudes subtract key by key, so residuals
-    far below the state norm stay resolvable."""
-    _check_same_register(a, b)
-    return float(np.sqrt(np.sum(code_residuals(a.codes, a.amps, b.codes,
-                                                b.amps)[1])))
-
-
 def fidelity(a: SparseState, b: SparseState) -> float:
     """|<a|b>|^2 / (<a|a><b|b>): phase- and scale-insensitive."""
     na, nb = a.norm(), b.norm()
@@ -420,7 +312,7 @@ def project_site(state: SparseState, site, vec: np.ndarray) -> SparseState:
     return SparseState(reg.drop(site), reg.without(state.codes, site), amps)
 
 
-# --- Basis change ---
+# --- Representation basis and marginals ---
 
 
 def rep_basis_order(G: FiniteGroup) -> tuple[tuple[str, int, int], ...]:
@@ -443,74 +335,6 @@ def basis_matrix_to_rep(G: FiniteGroup) -> np.ndarray:
         block = np.sqrt(r.dim / G.order) * np.conj(r.matrices)  # (n, d, d)
         rows.append(block.transpose(1, 2, 0).reshape(r.dim * r.dim, G.order))
     return np.concatenate(rows, axis=0)
-
-
-def change_basis(state: SparseState, site, direction: str) -> np.ndarray:
-    """Dense coefficient table of a single-site state in the other basis.
-
-    direction "to_rep": group -> representation coefficients (ordered by
-    rep_basis_order); "to_group": the inverse transform applied to a vector
-    of representation coefficients stored in a single-site state is not
-    representable sparsely per-key, so this accepts only single-site
-    registers and returns the dense table either way.
-    """
-    if state.register.width != 1 or state.register.sites[0] != site:
-        raise ValueError("change_basis operates on single-site registers")
-    U = basis_matrix_to_rep(state.register.group)
-    v = state.dense()
-    if direction == "to_rep":
-        return U @ v
-    if direction == "to_group":
-        return U.conj().T @ v
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# --- Reduced density matrices and Schmidt data ---
-
-
-def _bipartition_matrix(state: SparseState, part_a) -> np.ndarray:
-    """Dense (dim_A, #distinct B keys) coefficient matrix: rows are the
-    ``part_a`` digits read in that order, columns the distinct rest
-    digits in code order."""
-    reg = state.register
-    part_a = list(part_a)
-    if not part_a:
-        raise ValueError("bipartition part must be nonempty")
-    dim_a = reg.group.order ** len(part_a)
-    if dim_a > RDM_CAP:
-        raise ValueError(f"kept dimension {dim_a} exceeds cap {RDM_CAP}")
-    digits = np.array([reg.digit(state.codes, s) for s in part_a])
-    row = Register(reg.group, tuple(part_a)).encode(digits.T)
-    rest = state.codes - sum(reg.place_value(s, d) for s, d in zip(part_a, digits))
-    uniq, col = np.unique(rest, return_inverse=True)
-    m = np.zeros((dim_a, len(uniq)), dtype=complex)
-    np.add.at(m, (row, col), state.amps)
-    return m
-
-
-def reduced_density_matrix(state: SparseState, kept_sites) -> np.ndarray:
-    """Density matrix of ``kept_sites`` (row-major in their register order),
-    normalized to unit trace."""
-    m = _bipartition_matrix(state, kept_sites)
-    rho = m @ m.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0:
-        raise ValueError("zero-norm state has no density matrix")
-    return rho / tr
-
-
-def schmidt_data(state: SparseState, part_a, threshold: float = 1e-10):
-    """(schmidt values, rank, entropy in bits) across the bipartition
-    (part_a | rest), for the normalized state."""
-    m = _bipartition_matrix(state, part_a)
-    n = np.linalg.norm(m)
-    if n == 0:
-        raise ValueError("zero-norm state has no Schmidt decomposition")
-    vals = np.linalg.svd(m / n, compute_uv=False)
-    rank = int(np.sum(vals > threshold))
-    probs = vals[:rank] ** 2
-    entropy = float(-np.sum(probs * np.log2(probs))) if rank else 0.0
-    return vals, rank, entropy
 
 
 def site_marginal(state: SparseState, site) -> np.ndarray:

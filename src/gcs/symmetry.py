@@ -20,9 +20,9 @@ itself.  The even weights of every irrep, tensor product and direct sum are
 computed once per state, reps of one dimension sharing one chain of matrix
 products, and each even or commutation law instance is one more block of a
 stack in the passes of ``stabilizers._passes``.  Each block's residual is
-summed as ``residual_norm`` sums a single pair of states, so for any group
-(whose right multiplications permute the basis) the stacked residuals equal
-the operator-by-operator ones bit for bit.
+summed as if its pair of states stood alone, so for any group (whose right
+multiplications permute the basis) the stacked residuals equal the
+operator-by-operator ones bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import ClusterGraph
-from .groups import FiniteGroup, Irrep, rep_direct_sum, rep_tensor
+from .groups import FiniteGroup, rep_direct_sum, rep_tensor
 from .stabilizers import (BLOCK_ROWS, PARAM, ConditionalMonomial, Factor,
                           Word, _passes, _residuals)
 from .states import (
@@ -44,8 +44,6 @@ from .states import (
 
 __all__ = [
     "ring_even_cycle",
-    "apply_u_odd",
-    "apply_u_even",
     "verify_symmetry_algebra",
 ]
 
@@ -89,45 +87,11 @@ def ring_even_cycle(g: ClusterGraph) -> tuple:
     return tuple(cycle)
 
 
-def apply_u_odd(state: SparseState, g: ClusterGraph, x: int) -> SparseState:
-    """Right-multiply every odd digit by x^-1 (the odd global symmetry)."""
-    ring_even_cycle(g)
-    return _u_odd(state.register.group, g).bind({PARAM: x}).apply(state)
-
-
 def _u_odd(G: FiniteGroup, g: ClusterGraph) -> ConditionalMonomial:
     """Xr(x) on every odd site of ``g``: one family in ``PARAM``, as the
     odd-site stabilizers K_w^x are."""
     factor = (Factor("XR", Word.var(PARAM)),)
     return ConditionalMonomial(G, (), {w: factor for w in g.odd_vertices})
-
-
-def _resolve_irrep(G: FiniteGroup, irrep) -> Irrep:
-    return irrep if isinstance(irrep, Irrep) else G.irrep(irrep)
-
-
-def apply_u_even(state: SparseState, g: ClusterGraph, irrep,
-                 normalized: bool = True) -> SparseState:
-    """Weight each key by tr prod_s irrep(z_s) over the even cycle (times
-    1/dim when normalized, making the cluster state weight exactly 1).
-
-    ``irrep`` may be a catalog label or any Irrep object, so tensor products
-    and direct sums of catalog entries work directly.
-    """
-    rep = _resolve_irrep(state.register.group, irrep)
-    cycle = ring_even_cycle(g)
-    return _u_even(state, cycle, rep, normalized)
-
-
-def _u_even(state: SparseState, cycle, rep: Irrep,
-            normalized: bool) -> SparseState:
-    reg = state.register
-    digits = np.array([reg.digit(state.codes, v) for v in cycle])
-    coeff = _trace_weights((rep,), digits)[0]
-    if normalized:
-        coeff = coeff / rep.dim
-    # the codes keep their order, so the constructor only prunes zero weights
-    return SparseState(reg, state.codes, state.amps * coeff)
 
 
 def _trace_weights(reps, digits: np.ndarray) -> np.ndarray:

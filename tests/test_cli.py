@@ -138,6 +138,18 @@ def test_build_line3_order2_gives_ghz(tmp_path, capsys):
         assert re == pytest.approx(2 ** -0.5) and im == 0.0
 
 
+def test_dump_cap_is_bounded(tmp_path, capsys, monkeypatch):
+    # 2**12 keys: the most a report may list
+    argv = ["build", "--group", "Z2", "--graph",
+            _write_graph(tmp_path, line_graph(24, "o")), "--json", "--dump-cap"]
+    assert run([*argv, str(cli.MAX_DUMP)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["amplitudes"]) == cli.MAX_DUMP
+    monkeypatch.setattr(cli, "build_cluster_state", None)  # refused before the build
+    for cap in (-1, cli.MAX_DUMP + 1):
+        assert run([*argv, str(cap)]) == 2
+        _one_error_line(capsys)
+
+
 def test_register_past_the_width_limit_is_input_error(tmp_path, capsys):
     # two keys (one odd site), but 62 Z2 sites need 62-bit codes
     vertices = [("o", "odd")] + [(f"v{i}", "even") for i in range(61)]

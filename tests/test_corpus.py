@@ -12,12 +12,10 @@ from gcs.builder import build_cluster_state, schedule
 from gcs.corpus import (
     build_corpus,
     corpus_battery,
-    corpus_entry,
     corpus_pairs,
     derive_seed,
     stabilizer_residuals,
 )
-from gcs.graphs import scramble_ordering
 from gcs.groups import builtin_group
 from gcs.stabilizers import (
     PARAM,
@@ -26,8 +24,10 @@ from gcs.stabilizers import (
     propagate,
     stabilizers_agree_on_random_states,
 )
-from gcs.states import group_basis_state, residual_norm, sample_states
+from gcs.states import SparseState, sample_states
+from references import residual_norm, scramble_ordering
 
+ENTRIES = {e.name: e for e in build_corpus()}
 EXPECTED_NAMES = (
     "line3e", "line3o", "line4e", "line5o", "line6e", "line7o", "line8e",
     "ring4", "ring6", "ring8",
@@ -108,10 +108,10 @@ def test_group_pairings():
 
 
 def test_random_graphs_frozen():
-    small = corpus_entry("random-small").graph
+    small = ENTRIES["random-small"].graph
     assert tuple((ed.id, ed.tail, ed.head) for ed in small.edges) \
         == RANDOM_SMALL_EDGES
-    medium = corpus_entry("random-medium").graph
+    medium = ENTRIES["random-medium"].graph
     assert tuple((ed.id, ed.tail, ed.head) for ed in medium.edges) \
         == RANDOM_MEDIUM_EDGES
 
@@ -125,12 +125,6 @@ def test_build_corpus_deterministic():
         assert ea.graph.vertices == eb.graph.vertices
         assert ea.graph.edges == eb.graph.edges
         assert ea.graph.orderings == eb.graph.orderings
-
-
-def test_corpus_entry_lookup():
-    assert corpus_entry("ring6").name == "ring6"
-    with pytest.raises(KeyError):
-        corpus_entry("no-such-graph")
 
 
 def test_corpus_pairs_filters():
@@ -157,7 +151,7 @@ def test_derive_seed_stable():
 
 
 def test_battery_small_pair_golden():
-    res = corpus_battery(corpus_entry("line3e"), "Z3")
+    res = corpus_battery(ENTRIES["line3e"], "Z3")
     assert res["graph"] == "line3e" and res["group"] == "Z3"
     assert res["closed_form_max_residual"] == 0.0
     assert res["propagated_max_residual"] == 0.0
@@ -165,25 +159,25 @@ def test_battery_small_pair_golden():
     assert res["checks_passed"] is True
     assert res["peps_fidelity"] == pytest.approx(1.0, abs=1e-12)
     # same inputs, same report
-    assert corpus_battery(corpus_entry("line3e"), "Z3") == res
+    assert corpus_battery(ENTRIES["line3e"], "Z3") == res
 
 
 def test_battery_passes_on_varied_pairs():
     for name, gname in (("ring4", "S3"), ("random-small", "D4"),
                         ("general-small", "Z4")):
-        res = corpus_battery(corpus_entry(name), gname)
+        res = corpus_battery(ENTRIES[name], gname)
         assert res["checks_passed"], (name, gname, res)
 
 
 def test_battery_contracts_the_torus():
     # 32 bonds but only 2^8 rows, one per assignment of the odd sites
-    res = corpus_battery(corpus_entry("qd2x2"), "Z2")
+    res = corpus_battery(ENTRIES["qd2x2"], "Z2")
     assert res["peps_fidelity"] == pytest.approx(1.0, abs=1e-12)
     assert res["checks_passed"]
 
 
 def test_stabilizer_residuals_routes():
-    entry = corpus_entry("general-small")
+    entry = ENTRIES["general-small"]
     G = builtin_group("S3")
     psi = build_cluster_state(entry.graph, G)
     full = stabilizer_residuals(entry.graph, G, psi, seed=3)
@@ -224,18 +218,18 @@ def _per_label(g, G, psi, seed):
 def _perturbed(name, gname):
     # plus a basis vector off the state's support, which a stabilizer that
     # moves it leaves off the support: S psi and psi hold different codes
-    g, G = corpus_entry(name).graph, builtin_group(gname)
+    g, G = ENTRIES[name].graph, builtin_group(gname)
     psi = build_cluster_state(g, G)
     reg = psi.register
     off = np.setdiff1d(np.arange(reg.dimension), psi.codes)[0]
-    kick = group_basis_state(reg, reg.digit_table(np.array([off]))[:, 0])
-    return g, G, psi.add(kick.scaled(0.3))
+    return g, G, SparseState(reg, np.append(psi.codes, off),
+                             np.append(psi.amps, 0.3))
 
 
 def _scrambled():
     # the state of general-small checked against the stabilizers of the
     # graph with e1's gate order rotated: a negative control
-    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    g, G = ENTRIES["general-small"].graph, builtin_group("S3")
     return scramble_ordering(g, "e1"), G, build_cluster_state(g, G)
 
 
@@ -260,7 +254,7 @@ def test_families_reproduce_the_per_label_residuals(case):
 def test_family_route_check_reproduces_the_per_label_check():
     # the closed forms of one ordering against the propagation of another:
     # route residuals far from zero
-    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    g, G = ENTRIES["general-small"].graph, builtin_group("S3")
     g2 = scramble_ordering(g, "e1")
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g2), initial_stabilizers(g2, G))
@@ -277,7 +271,7 @@ def test_family_route_check_reproduces_the_per_label_check():
 def test_mismatch_planted_in_one_member_shows_on_that_label_only():
     # one member of one propagated family rebound to another element: it
     # still acts in its family's pass, and only its label disagrees
-    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    g, G = ENTRIES["general-small"].graph, builtin_group("S3")
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
     w = g.odd_vertices[1]
@@ -301,7 +295,7 @@ def test_stabilizer_residuals_draws_once_per_pair(monkeypatch):
         return sample_states(*args, **kwargs)
 
     monkeypatch.setattr(stabilizers, "sample_states", counted)
-    g, G = corpus_entry("general-small").graph, builtin_group("S3")
+    g, G = ENTRIES["general-small"].graph, builtin_group("S3")
     psi = build_cluster_state(g, G)
     res = stabilizer_residuals(g, G, psi, seed=3)
     assert len(res["routes"]) > 1

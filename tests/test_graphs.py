@@ -9,9 +9,9 @@ from gcs.graphs import (
     graph_to_json,
     line_graph,
     ring_graph,
-    scramble_ordering,
     validate_graph,
 )
+from references import scramble_ordering
 
 
 def test_line_eoe_default_directions():

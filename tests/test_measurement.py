@@ -17,9 +17,10 @@ import pytest
 from gcs.builder import build_cluster_state
 from gcs.graphs import line_graph
 from gcs.groups import builtin_group
-from gcs.measurement import analyze_entanglement, measure, outcome_distribution
-from gcs.states import Register, SparseState, fidelity, group_basis_state, random_state
+from gcs.measurement import measure, outcome_distribution
+from gcs.states import Register, fidelity, random_state
 from helpers import entries
+from references import analyze_entanglement, from_dict
 
 
 def eoe_state(G):
@@ -119,7 +120,7 @@ def test_oeo_rep_post_state_closed_form():
             w = np.conj(mats[G.table[a, G.inverse[b]], i, j])
             if abs(w) > 1e-14:
                 amps[(a, b)] = w
-    want = SparseState.from_dict(reg, amps)
+    want = from_dict(reg, amps)
     assert abs(fidelity(out.post_state, want) - 1.0) < 1e-10
     # the middle digit is uniform over the group, so every one of the |G|
     # representation-basis outcomes carries weight exactly 1/|G|
@@ -131,7 +132,7 @@ def test_oeo_rep_post_state_closed_form():
 def test_forced_zero_probability_errors():
     G = builtin_group("Z3")
     reg = Register(G, ("a", "b"))
-    psi = group_basis_state(reg, (1, 2))
+    psi = from_dict(reg, {(1, 2): 1.0})
     with pytest.raises(ValueError, match="zero probability"):
         measure(psi, "a", "group", forced="0")
     with pytest.raises(ValueError, match="not an outcome"):
@@ -154,13 +155,13 @@ def test_rep_basis_requires_complete_irrep_list():
     G = builtin_group("S3")
     partial = dataclasses.replace(G, irreps=G.irreps[:2])
     reg = Register(partial, ("a",))
-    psi = group_basis_state(reg, (0,))
+    psi = from_dict(reg, {(0,): 1.0})
     with pytest.raises(ValueError, match="complete irrep list"):
         outcome_distribution(psi, "a", "rep")
 
 
 def test_unknown_basis_rejected():
     G = builtin_group("Z2")
-    psi = group_basis_state(Register(G, ("a",)), (0,))
+    psi = from_dict(Register(G, ("a",)), {(0,): 1.0})
     with pytest.raises(ValueError, match="basis"):
         outcome_distribution(psi, "a", "fourier")

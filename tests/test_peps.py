@@ -10,17 +10,12 @@ import numpy as np
 import pytest
 
 from gcs.builder import OverBudget, build_cluster_state
-from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
+from gcs.graphs import Edge, build_graph, line_graph, ring_graph
 from gcs.groups import builtin_group
-from gcs.peps import (
-    build_peps,
-    compare_to_circuit,
-    contract,
-    even_tensor,
-    odd_tensor,
-)
+from gcs.peps import build_peps, compare_to_circuit, contract
 from gcs.states import fidelity
 from helpers import entries
+from references import even_tensor, odd_tensor, scramble_ordering
 
 
 def general_small():

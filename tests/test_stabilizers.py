@@ -14,16 +14,16 @@ import pytest
 
 from gcs.builder import build_cluster_state, schedule
 from gcs.corpus import corpus_pairs, general_small_graph
-from gcs.graphs import Edge, build_graph, line_graph, ring_graph, scramble_ordering
+from gcs.graphs import Edge, build_graph, line_graph, ring_graph
 from gcs.groups import FiniteGroup, _mul, builtin_group
 from gcs.qdouble import (
     build_qd_lattice,
     dressed_star,
-    qd_stabilizers,
     random_plaquette_outcomes,
     shifted_plaquette,
 )
 from gcs.stabilizers import (
+    PARAM,
     STABILIZER_TOL,
     ConditionalMonomial,
     Factor,
@@ -33,27 +33,32 @@ from gcs.stabilizers import (
     closed_form_odd,
     closed_form_stabilizers,
     conjugate_by_cmult,
-    css_stabilizers,
     initial_stabilizers,
-    operators_agree_on_basis,
     propagate,
     stabilizers_agree_on_random_states,
     verify,
 )
-from gcs.states import (
-    Register,
-    SparseState,
-    group_basis_state,
-    random_state,
-    residual_norm,
-    sample_states,
-)
+from gcs.states import Register, SparseState, random_state, sample_states
 from helpers import entries
+from references import (css_stabilizers, dense, from_dict,
+                        operators_agree_on_basis, pretty, pretty_word,
+                        qd_stabilizers, residual_norm, scramble_ordering, zero)
 
 
 def mono(G, variables, sites):
     return ConditionalMonomial(G, tuple(variables),
                                {s: tuple(fs) for s, fs in sites.items()})
+
+
+def with_right(g, G):
+    """The initial stabilizers plus each odd site's right multiplications,
+    one family in PARAM per site."""
+    stabs = initial_stabilizers(g, G)
+    for w in g.odd_vertices:
+        right = mono(G, (), {w: [Factor("XR", Word.var(PARAM))]})
+        for e in range(G.order):
+            stabs[f"odd-right[{w},{G.labels[e]}]"] = right.bind({PARAM: e})
+    return stabs
 
 
 def dense_cmult(G, sense):
@@ -77,7 +82,7 @@ def dense_of(op, reg):
             rest, d = divmod(rest, n)
             key.append(d)
         key = tuple(reversed(key))
-        M[:, idx] = op.apply(group_basis_state(reg, key)).dense()
+        M[:, idx] = dense(op.apply(from_dict(reg, {key: 1.0})))
     return M
 
 
@@ -152,9 +157,9 @@ def test_word_inverse_and_evaluation():
 def test_word_pretty_forms():
     G = builtin_group("S3")
     w = Word.var("h").times(Word.const(3)).times(Word.var("h", inverted=True))
-    assert w.pretty(G) == "h (12) h^-1"
-    assert Word().pretty(G) == "e"
-    assert Word.const(3).inverse().pretty(G) == "(12)^-1"
+    assert pretty_word(w, G) == "h (12) h^-1"
+    assert pretty_word(Word(), G) == "e"
+    assert pretty_word(Word.const(3).inverse(), G) == "(12)^-1"
 
 
 # --- Monomial application mechanics ---
@@ -163,14 +168,14 @@ def test_word_pretty_forms():
 def test_apply_projector_multiplication_and_weight():
     G = builtin_group("S3")
     reg = Register(G, ("a", "b"))
-    psi = SparseState.from_dict(reg, {(3, 2): 1.0, (1, 2): 2.0})
+    psi = from_dict(reg, {(3, 2): 1.0, (1, 2): 2.0})
     op = mono(G, (), {"a": [Factor("T", Word.const(3)), Factor("XL", Word.const(1))]})
     out = op.apply(psi)
     assert entries(out) == {(G.table[1, 3], 2): 1.0}
     zop = mono(G, (), {"b": [Factor("Z", irrep_label="std", i=0, j=0)]})
     out2 = zop.apply(psi)
     mats = G.irrep("std").matrices
-    assert abs(out2.amplitude((3, 2)) - mats[2, 0, 0]) < 1e-15
+    assert abs(entries(out2)[(3, 2)] - mats[2, 0, 0]) < 1e-15
 
 
 def test_apply_solves_chained_variables_without_enumeration():
@@ -182,7 +187,7 @@ def test_apply_solves_chained_variables_without_enumeration():
         "b": [Factor("T", Word.var("x").times(Word.var("y")))],
         "c": [Factor("XL", Word.var("y"))],
     })
-    psi = SparseState.from_dict(reg, {(2, 4, 1): 1.0, (2, 5, 0): 0.5})
+    psi = from_dict(reg, {(2, 4, 1): 1.0, (2, 5, 0): 0.5})
     out = op.apply(psi)
     y, y2 = G.table[G.inverse[2], 4], G.table[G.inverse[2], 5]
     assert entries(out) == {(2, 4, G.table[y, 1]): 1.0,
@@ -198,7 +203,7 @@ def test_apply_rejects_an_unfixed_variable():
     # a projector after the multiplication does not fix it either
     late = mono(G, ("x",), {"a": [Factor("XL", Word.const(1)),
                                   Factor("T", Word.var("x"))]})
-    for psi in (group_basis_state(reg, (1, 0)), SparseState.zero(reg)):
+    for psi in (from_dict(reg, {(1, 0): 1.0}), zero(reg)):
         for bad in (op, late):
             with pytest.raises(ValueError,
                                match="summation variables x are not fixed"):
@@ -210,21 +215,20 @@ def test_every_derived_operator_is_a_row_map():
     # fixed by a leading projector, so each one applies without error
     for entry, gname in corpus_pairs():
         G, g = builtin_group(gname), entry.graph
-        zero = SparseState.zero(Register(G, g.vertex_ids))
+        empty = zero(Register(G, g.vertex_ids))
         families = [closed_form_stabilizers(g, G),
-                    propagate(schedule(g),
-                              initial_stabilizers(g, G, include_right=True))]
+                    propagate(schedule(g), with_right(g, G))]
         if G.order == 2:
             families.append(css_stabilizers(g, G))
         for stabs in families:
             for label, op in stabs.items():
-                assert len(op.apply(zero)) == 0, (entry.name, gname, label)
+                assert len(op.apply(empty)) == 0, (entry.name, gname, label)
     rng = np.random.default_rng(4)
     for gname in ("Z2", "Z3", "S3", "Q8"):
         G = builtin_group(gname)
         for dims in ((2, 2), (2, 4)):
             lat = build_qd_lattice(*dims)
-            zero = SparseState.zero(Register(G, tuple(lk.id for lk in lat.links)))
+            empty = zero(Register(G, tuple(lk.id for lk in lat.links)))
             outcomes = random_plaquette_outcomes(lat, G, rng)
             ops = list(qd_stabilizers(lat, G).values())
             ops += [shifted_plaquette(lat, G, pid, m)
@@ -233,13 +237,13 @@ def test_every_derived_operator_is_a_row_map():
                        for s in lat.stars for x in range(G.order)]
             ops += [op for op in dressed if op is not None]
             for op in ops:
-                assert len(op.apply(zero)) == 0, op.pretty()
+                assert len(op.apply(empty)) == 0, pretty(op)
 
 
 def test_apply_missing_site_error():
     G = builtin_group("Z3")
     reg = Register(G, ("a",))
-    psi = group_basis_state(reg, (1,))
+    psi = from_dict(reg, {(1,): 1.0})
     stray = mono(G, (), {"zz": [Factor("T", Word())]})
     with pytest.raises(KeyError):
         stray.apply(psi)
@@ -251,20 +255,20 @@ def test_apply_missing_site_error():
 def test_pretty_golden_strings():
     G = builtin_group("S3")
     eoe = line_graph(3, "eoe")
-    assert closed_form_even(eoe, G, "0").pretty() == "sum[g_e0] T[0:(g_e0)] T[1:(g_e0)]"
-    assert closed_form_odd(eoe, G, "1", 3).pretty() == \
+    assert pretty(closed_form_even(eoe, G, "0")) == "sum[g_e0] T[0:(g_e0)] T[1:(g_e0)]"
+    assert pretty(closed_form_odd(eoe, G, "1", 3)) == \
         "Xl[0:((12))] Xl[1:((12))] Xl[2:((12))]"
     ring = ring_graph(4)
-    assert closed_form_even(ring, G, "0").pretty() == \
+    assert pretty(closed_form_even(ring, G, "0")) == \
         "sum[g_e0,g_e3] T[0:(g_e3 g_e0^-1)] T[1:(g_e0)] T[3:(g_e3)]"
-    assert closed_form_odd(ring, G, "1", 1).pretty() == \
+    assert pretty(closed_form_odd(ring, G, "1", 1)) == \
         "Xr[0:((123))] Xl[1:((123))] Xl[2:((123))]"
 
 
 def test_pretty_shows_operator_order_last_applied_first():
     G = builtin_group("S3")
     op = mono(G, (), {"a": [Factor("T", Word.const(1)), Factor("XL", Word.const(3))]})
-    assert op.pretty() == "Xl[a:((12))] T[a:((123))]"
+    assert pretty(op) == "Xl[a:((12))] T[a:((123))]"
 
 
 # --- Closed form vs propagation: action equality ---
@@ -323,8 +327,7 @@ def test_routes_agree_in_action(gname, graph_name):
         else:
             for _ in range(8):
                 psi = random_state(reg, rng, 60)
-                diff = a.apply(psi).add(b.apply(psi).scaled(-1.0))
-                assert diff.norm() < 1e-10, label
+                assert residual_norm(a.apply(psi), b.apply(psi)) < 1e-10, label
 
 
 @pytest.mark.parametrize("gname", ["Z2", "Z3", "S3"])
@@ -345,7 +348,7 @@ def test_right_multiplication_family_also_fixes_state():
     G = builtin_group("S3")
     g = line_graph(4, "e")
     state = build_cluster_state(g, G)
-    stabs = propagate(schedule(g), initial_stabilizers(g, G, include_right=True))
+    stabs = propagate(schedule(g), with_right(g, G))
     assert any(lab.startswith("odd-right[") for lab in stabs)
     residuals = verify(stabs, state)
     worst = max(residuals, key=residuals.get)
@@ -365,7 +368,7 @@ def test_odd_stabilizers_compose_as_the_group():
             psi = random_state(reg, rng, 50)
             lhs = sx.apply(sy.apply(psi))
             rhs = sxy.apply(psi)
-            assert lhs.add(rhs.scaled(-1.0)).norm() < 1e-10
+            assert residual_norm(lhs, rhs) < 1e-10
 
 
 @pytest.mark.parametrize("gname", ["S3", "D4"])
@@ -383,7 +386,7 @@ def test_a_bound_member_is_the_constant_operator(gname):
             pairs = [(family.bind({"x": x}), closed_form_odd(g, G, w, x)),
                      (propagated[label], propagate(sched, {label: const})[label])]
             for a, b in pairs:
-                assert a.pretty() == b.pretty(), label
+                assert pretty(a) == pretty(b), label
                 support = set(a.support()) | set(b.support())
                 if G.order ** len(support) <= 4096:
                     assert operators_agree_on_basis(a, b, reg) < 1e-12, label
@@ -496,7 +499,7 @@ def test_basis_check_matches_per_key_loop():
     reg = Register(G, g.vertex_ids)
     a, b = closed_form_even(g, G, "0"), closed_form_odd(g, G, "1", 3)
     loop = [residual_norm(a.apply(p), b.apply(p))
-            for p in (group_basis_state(reg, key)
+            for p in (from_dict(reg, {key: 1.0})
                       for key in np.ndindex(*(G.order,) * reg.width))]
     assert operators_agree_on_basis(a, b, reg) == max(loop)
     assert max(loop) > 1
@@ -538,7 +541,7 @@ def test_basis_check_equals_per_key_residuals_bit_for_bit(gname):
         for digits in np.ndindex(*(G.order,) * len(support)):
             key = np.zeros(reg.width, dtype=int)
             key[axes] = digits
-            p = group_basis_state(reg, key)
+            p = from_dict(reg, {tuple(key): 1.0})
             loop.append(residual_norm(a[label].apply(p), b[label].apply(p)))
         assert operators_agree_on_basis(a[label], b[label], reg) == max(loop)
         worst = max(worst, max(loop))
@@ -595,7 +598,7 @@ def test_eoe_even_stabilizer_explicit_action():
     g = line_graph(3, "eoe")
     op = closed_form_even(g, G, "0")
     reg = Register(G, g.vertex_ids)
-    psi = SparseState.from_dict(reg, {(2, 2, 0): 1.0, (1, 2, 0): 1.0})
+    psi = from_dict(reg, {(2, 2, 0): 1.0, (1, 2, 0): 1.0})
     out = op.apply(psi)
     assert entries(out) == {(2, 2, 0): 1.0}
 
@@ -606,8 +609,8 @@ def test_initial_stabilizer_labels_and_forms():
     init = initial_stabilizers(g, G)
     assert list(init) == ["even[0]", "even[2]",
                           "odd[1,0]", "odd[1,1]", "odd[1,2]"]
-    assert init["even[0]"].pretty() == "T[0:(0)]"
-    assert init["odd[1,2]"].pretty() == "Xl[1:(2)]"
+    assert pretty(init["even[0]"]) == "T[0:(0)]"
+    assert pretty(init["odd[1,2]"]) == "Xl[1:(2)]"
 
 
 # --- Verification reports ---
@@ -621,12 +624,13 @@ def test_verify_reports_residual_and_first_failure():
     ok = verify(stabs, state)
     assert list(ok) == list(stabs) and max(ok.values()) < 1e-12
     reg = state.register
-    bad = state.add(group_basis_state(reg, (0, 1, 0)).scaled(0.3))
+    bad = SparseState(reg, np.append(state.codes, reg.encode(np.array([0, 1, 0]))),
+                      np.append(state.amps, 0.3))
     failures = [lab for lab, r in verify(stabs, bad).items()
                 if r > STABILIZER_TOL]
     assert failures
     with pytest.raises(ValueError):
-        verify(stabs, SparseState.zero(reg))
+        verify(stabs, zero(reg))
 
 
 @pytest.mark.parametrize("gname", ["Z3", "S3", "Q8"])
@@ -663,9 +667,10 @@ def test_split_forms_for_order_two_groups(graph_name):
         rng = np.random.default_rng(3)
         for _ in range(5):
             psi = random_state(reg, rng, 40)
-            lhs = derived.apply(psi)
-            rhs = psi.add(split.apply(psi)).scaled(0.5)
-            assert lhs.add(rhs.scaled(-1.0)).norm() < 1e-12
+            s = split.apply(psi)
+            rhs = SparseState(reg, np.append(psi.codes, s.codes),
+                              np.append(psi.amps, s.amps) / 2)
+            assert residual_norm(derived.apply(psi), rhs) < 1e-12
     for w in g.odd_vertices:
         derived = closed_form_odd(g, G, w, 1)
         split = css[f"css-odd[{w}]"]
