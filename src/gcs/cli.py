@@ -31,8 +31,6 @@ from .corpus import build_corpus, corpus_battery, corpus_pairs, stabilizer_resid
 from .graphs import graph_to_json, load_graph_file, ring_graph
 from .groups import (
     ALGEBRA_TOL,
-    catalog_digest,
-    catalog_names,
     group_to_json,
     resolve_group,
     validate_group,
@@ -73,34 +71,24 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256_bytes(fh.read())
-
-
 def _canonical_hash(obj) -> str:
     return _sha256_bytes(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
 def _load_group(spec: str):
     try:
-        G = resolve_group(spec)
+        G, digest = resolve_group(spec)
     except (KeyError, OSError, ValueError) as exc:
         raise InputError(f"cannot load group {spec!r}: {_reason(exc)}")
-    # resolve_group prefers the catalog over a file of the same name
-    if spec in catalog_names():
-        digest = catalog_digest(spec)
-    else:
-        digest = _sha256_file(spec)
     return G, {"spec": spec, "sha256": digest}
 
 
 def _load_graph(path: str):
     try:
-        g = load_graph_file(path)
+        g, digest = load_graph_file(path)
     except (KeyError, OSError, ValueError) as exc:
         raise InputError(f"cannot load graph {path!r}: {_reason(exc)}")
-    return g, {"spec": path, "sha256": _sha256_file(path)}
+    return g, {"spec": path, "sha256": digest}
 
 
 def _check(label: str, residual: float, tol: float) -> dict:

@@ -159,13 +159,13 @@ def stabilizer_residuals(g: ClusterGraph, G: FiniteGroup, psi: SparseState,
     propagation; ``routes`` maps each label to the largest deviation
     between the two routes' operators over ``routes_states`` seeded random
     states (``routes_states=0`` skips that check and leaves it empty).
-    The states are drawn once per pair, from the pair's seed
-    (``derive_seed``), and shared by every label."""
+    Both routes are checked on ``psi`` in one ``verify`` call.  The states
+    are drawn once per pair, from the pair's seed (``derive_seed``), and
+    shared by every label."""
     closed = closed_form_stabilizers(g, G)
     propagated = propagate(schedule(g), initial_stabilizers(g, G))
-    out = {"closed": verify(closed, psi),
-           "propagated": verify(propagated, psi),
-           "routes": {}}
+    on_psi = verify(closed, psi, propagated)
+    out = {"closed": on_psi[0], "propagated": on_psi[1], "routes": {}}
     if routes_states:
         rng = np.random.default_rng(derive_seed(seed, g.name, G.name))
         out["routes"] = stabilizers_agree_on_random_states(

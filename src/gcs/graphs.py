@@ -315,5 +315,7 @@ def graph_from_json(obj: dict) -> ClusterGraph:
     return g
 
 
-def load_graph_file(path: str) -> ClusterGraph:
-    return graph_from_json(read_json_file(path))
+def load_graph_file(path: str) -> tuple:
+    """(graph, sha256 of the file's bytes)."""
+    obj, digest = read_json_file(path)
+    return graph_from_json(obj), digest

@@ -545,19 +545,28 @@ def _not_json(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-def read_json_file(path: str):
-    """Parse a JSON file, refusing the NaN and +-Infinity constants that
-    Python's json reader accepts but JSON does not have."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_not_json)
+def read_json_file(path: str) -> tuple:
+    """(value, sha256 of its bytes) of a JSON file read once, so the digest
+    is of the bytes parsed.  The bytes are decoded as UTF-8 with universal
+    newlines, as a text-mode read decodes them, and the NaN and +-Infinity
+    constants that Python's json reader accepts but JSON does not have are
+    refused."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return (json.loads(text, parse_constant=_not_json),
+            hashlib.sha256(data).hexdigest())
 
 
-def load_group_file(path: str) -> FiniteGroup:
-    return group_from_json(read_json_file(path))
+def load_group_file(path: str) -> tuple:
+    """(group, sha256 of the file's bytes)."""
+    obj, digest = read_json_file(path)
+    return group_from_json(obj), digest
 
 
-def resolve_group(spec: str) -> FiniteGroup:
-    """Catalog name or path to a group JSON file."""
-    if spec in _CATALOG_BUILDERS:
-        return builtin_group(spec)
+def resolve_group(spec: str) -> tuple:
+    """(group, digest) for a catalog name, with its ``catalog_digest``, or
+    for a path to a group JSON file, with the sha256 of its bytes."""
+    if spec in catalog_names():
+        return builtin_group(spec), catalog_digest(spec)
     return load_group_file(spec)

@@ -22,7 +22,13 @@ Every residual is computed by one kernel, ``_residuals``: ``verify`` and
 the route check call it, as does the ring symmetry check.  It stacks each
 family's (member, state) blocks in passes, acts once per pass, and sums each
 block as if its pair of states stood alone (``states._block_sums``, which
-skips the per-block sums when every term is 0.0).
+skips the per-block sums when every term is 0.0).  Two operator sets act
+on the same rows of a pass: either against each other (the route check) or
+each against the states (both routes on psi, in one ``verify`` call).  When
+the two raw images are equal, codes and amplitudes (``np.array_equal``),
+their merges and sums would be equal bit for bit, so the kernel does them
+once: against each other every block is 0.0 with no merge, and against
+the states the second set takes the first set's sums.
 
 Application order convention: within one site's factor list, index 0 acts
 FIRST (input side).
@@ -227,7 +233,8 @@ class ConditionalMonomial:
         for site in self.sites:
             if site not in register.sites:
                 raise KeyError(f"operator site {site!r} not in register")
-        steps, implied, names = self._plan
+        # binding changes neither sites nor variables: members share the plan
+        steps, implied, names = (self.family or self)._plan
         env = {**self.binding, **(params or {})}
         if not names <= env.keys():
             raise ValueError("parameters " + ", ".join(sorted(names - env.keys()))
@@ -565,10 +572,12 @@ def _act_blocks(ops: list, which: np.ndarray, register: Register,
 
 
 def _residuals(a: dict, b: dict | None, register: Register,
-               codes: np.ndarray, amps: np.ndarray) -> dict:
+               codes: np.ndarray, amps: np.ndarray, fixes: bool = False):
     """||a[l] psi_s - b[l] psi_s||^2 by label l, an array over the states
     psi_s (row s of the 2-D ``codes``/``amps``, each row canonical);
-    ``b=None`` compares with psi_s itself.
+    ``b=None`` compares with psi_s itself.  With ``fixes``, the pair of
+    such maps comparing a[l] psi_s and b[l] psi_s each with psi_s, in
+    the label orders of ``a`` and ``b``.
 
     The labels whose operators bind one family in ``a`` and one in ``b``
     (``_families``) are checked together: their (member, state) blocks are
@@ -577,15 +586,23 @@ def _residuals(a: dict, b: dict | None, register: Register,
     their one ``digit_table``, and each side acts once per pass.  A
     one-block pass acts on the state's own arrays.  Each block is summed by
     ``states._block_sums``, so its value is bit for bit the sum of that
-    block's pair of states taken alone."""
+    block's pair of states taken alone.
+
+    The two sides' raw images are rewrites of the same rows, amplitudes
+    kept or rephased, so when their codes and amplitudes are equal
+    (``np.array_equal``) every merge and sum of one repeats the other's
+    bit for bit: an (a, b) pass is then 0.0 in every block, and with
+    ``fixes`` b's blocks take a's sums.  The second image is dropped
+    before the first is merged."""
     dim = register.dimension
     states, rows = codes.shape
     table = register.digit_table(codes.ravel())
-    out = {}
+    out, out_b = {}, {}
     for labels in _families(a, b):
         ops_a = [a[label] for label in labels]
         ops_b = None if b is None else [b[label] for label in labels]
         sq = np.empty(len(labels) * states)
+        sq_b = np.empty(len(sq)) if fixes else None
         for lo, hi in _passes(len(sq), rows, dim):
             member, state = np.divmod(np.arange(lo, hi), states)
             if hi - lo == 1:  # the state itself: a large state is not copied
@@ -597,26 +614,49 @@ def _residuals(a: dict, b: dict | None, register: Register,
                          amps[state].ravel())
                 digits = table[:, (state[:, None] * rows + np.arange(rows)).ravel()]
             digits = dict(zip(register.sites, digits))
-            lhs = merge_codes(*_act_blocks(ops_a, member, register, *stack,
-                                           rows, digits))
-            rhs = stack if ops_b is None else merge_codes(*_act_blocks(
-                ops_b, member, register, *stack, rows, digits))
-            sq[lo:hi] = _block_sums(lhs, rhs, dim, hi - lo)
+            lhs = _act_blocks(ops_a, member, register, *stack, rows, digits)
+            rhs = None if ops_b is None else _act_blocks(
+                ops_b, member, register, *stack, rows, digits)
+            same = rhs is not None and all(map(np.array_equal, lhs, rhs))
+            if same:
+                rhs = None
+            if fixes:
+                sq[lo:hi] = _block_sums(merge_codes(*lhs), stack, dim, hi - lo)
+                lhs = None
+                sq_b[lo:hi] = sq[lo:hi] if same else _block_sums(
+                    merge_codes(*rhs), stack, dim, hi - lo)
+            elif same:
+                sq[lo:hi] = 0.0
+            else:
+                lhs = merge_codes(*lhs)
+                rhs = stack if rhs is None else merge_codes(*rhs)
+                sq[lo:hi] = _block_sums(lhs, rhs, dim, hi - lo)
             del lhs, rhs  # not held beside the next pass's rows
         for i, label in enumerate(labels):
             out[label] = sq[i * states:(i + 1) * states]
+            if fixes:
+                out_b[label] = sq_b[i * states:(i + 1) * states]
+    if fixes:
+        return ({label: out[label] for label in a},
+                {label: out_b[label] for label in b})
     return {label: out[label] for label in a}
 
 
-def verify(stabs: dict, state: SparseState) -> dict:
+def verify(stabs: dict, state: SparseState, other: dict | None = None):
     """Each stabilizer's residual |S psi - psi| / |psi|, by label
-    (``_residuals`` with psi the one state)."""
+    (``_residuals`` with psi the one state).  Given ``other``, a second
+    set over the same labels (the other derivation route), the pair of
+    such maps for ``stabs`` and ``other``, from one kernel call."""
     norm = state.norm()
     if norm == 0:
         raise ValueError("cannot verify stabilizers on the zero state")
-    sq = _residuals(stabs, None, state.register, state.codes[None],
-                    state.amps[None])
-    return {label: float(np.sqrt(s[0])) / norm for label, s in sq.items()}
+    sq = _residuals(stabs, other, state.register, state.codes[None],
+                    state.amps[None], fixes=other is not None)
+
+    def scaled(sq: dict) -> dict:
+        return {label: float(np.sqrt(s[0])) / norm for label, s in sq.items()}
+
+    return scaled(sq) if other is None else tuple(map(scaled, sq))
 
 
 def stabilizers_agree_on_random_states(a: dict, b: dict, register: Register,

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from gcs import cli, graphs
+from gcs import cli, graphs, groups
 from gcs.cli import run
 from gcs.graphs import (MAX_EDGES, Edge, build_graph, graph_to_json, line_graph,
                         load_graph_file, ring_graph)
@@ -163,7 +163,7 @@ def test_graph_past_the_site_limit_is_refused_on_load(tmp_path, capsys):
     # every vertex is a register site: 61 load, 62 exit 2 before the
     # graph is built
     line61 = _write_graph(tmp_path, line_graph(MAX_SITES, "e"))
-    assert len(load_graph_file(line61).vertices) == MAX_SITES == 61
+    assert len(load_graph_file(line61)[0].vertices) == MAX_SITES == 61
     line62 = _write_graph(tmp_path, line_graph(MAX_SITES + 1, "e"))
     for argv in (["build", "--group", "Z2"],
                  ["stabilizers", "--group", "S3", "--cross-check"]):
@@ -185,7 +185,7 @@ def test_graph_past_the_edge_limit_is_refused_on_load(tmp_path, capsys,
                                                        monkeypatch):
     # E parallel edges give one closed form E(E-1)/2 summation variables:
     # the limit loads, and past it the file exits 2 before any edge is built
-    assert len(load_graph_file(_parallel_edges(tmp_path, MAX_EDGES)).edges) \
+    assert len(load_graph_file(_parallel_edges(tmp_path, MAX_EDGES))[0].edges) \
         == MAX_EDGES == 128
 
     def no_edge(*args):
@@ -227,6 +227,45 @@ def test_directory_inputs_are_input_errors(tmp_path, capsys):
     _one_error_line(capsys)
     assert run(["group", "validate", "--name", str(tmp_path)]) == 2
     _one_error_line(capsys)
+
+
+def test_non_utf8_inputs_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    reason = ("'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte\n")
+    assert run(["build", "--group", "Z2", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load graph {str(path)!r}: {reason}"
+    assert run(["group", "validate", "--name", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load group {str(path)!r}: {reason}"
+
+
+@pytest.mark.parametrize("kind", ["graph", "group"])
+def test_report_digest_is_of_the_bytes_parsed(tmp_path, capsys, monkeypatch,
+                                              kind):
+    # the file is rewritten as soon as it is parsed: the report names the
+    # bytes parsed, not those the file holds after
+    path = tmp_path / f"{kind}.json"
+    if kind == "graph":
+        path.write_text(json.dumps(graph_to_json(line_graph(3, "e"))))
+        module, name = graphs, "graph_from_json"
+        argv = ["build", "--group", "Z2", "--graph", str(path)]
+    else:
+        path.write_text(json.dumps(group_to_json(builtin_group("Z2"))))
+        module, name = groups, "group_from_json"
+        argv = ["group", "validate", "--name", str(path)]
+    parsed = path.read_bytes()
+    parse = getattr(module, name)
+
+    def parse_then_rewrite(obj):
+        path.write_bytes(parsed + b"\n")
+        return parse(obj)
+
+    monkeypatch.setattr(module, name, parse_then_rewrite)
+    assert run([*argv, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert path.read_bytes() != parsed
+    assert rep["inputs"][kind]["sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
 def test_unwritable_outputs_are_input_errors(tmp_path, capsys):

@@ -35,6 +35,7 @@ from gcs.stabilizers import (
     conjugate_by_cmult,
     initial_stabilizers,
     propagate,
+    _residuals,
     stabilizers_agree_on_random_states,
     verify,
 )
@@ -647,6 +648,89 @@ def test_verify_equals_per_operator_residuals_bit_for_bit(gname, keys):
         assert got == {label: residual_norm(op.apply(psi), psi) / psi.norm()
                        for label, op in stabs.items()}
         assert max(got.values()) > 0.1
+
+
+@pytest.mark.parametrize("gname", ["Z3", "S3", "Q8"])
+@pytest.mark.parametrize("keys", [300, 3000])
+def test_two_set_verify_equals_single_set_calls_bit_for_bit(gname, keys):
+    # the second set acts as the first on every row (propagation), or
+    # differs in some labels (the closed forms with e1's gate order
+    # rotated): its passes reuse the first set's sums or take their own
+    G, g = builtin_group(gname), general_small()
+    psi = random_state(Register(G, g.vertex_ids), np.random.default_rng(3),
+                       keys)
+    closed = closed_form_stabilizers(g, G)
+    propagated = propagate(schedule(g), initial_stabilizers(g, G))
+    scrambled = closed_form_stabilizers(scramble_ordering(g, "e1"), G)
+    for other in (propagated, scrambled):
+        got = verify(closed, psi, other)
+        assert got == (verify(closed, psi), verify(other, psi))
+        assert got[1] == {label: residual_norm(op.apply(psi), psi) / psi.norm()
+                          for label, op in other.items()}
+        assert list(got[1]) == list(other)
+    # Z3 is abelian: rotating a gate order changes no operator's action
+    assert (got[0] != got[1]) == (gname != "Z3")
+
+
+def _per_state(a, b, reg, codes, amps):
+    """The kernel's (a, b) residual on each stacked state, the same pair's
+    residual_norm on each state alone, and the two-set ψ check on each
+    state against two single-set calls."""
+    psis = [SparseState(reg, c, x) for c, x in zip(codes, amps)]
+    for p in psis:
+        assert verify({"": a}, p, {"": b}) == (verify({"": a}, p),
+                                              verify({"": b}, p))
+    return (np.sqrt(_residuals({"": a}, {"": b}, reg, codes, amps)[""]).tolist(),
+            [residual_norm(a.apply(p), b.apply(p)) for p in psis])
+
+
+@pytest.mark.parametrize("gname, irrep", [("Z3", "w1"), ("S3", "sgn"),
+                                          ("Q8", "chi_i")])
+def test_route_pair_differing_only_in_amplitude_keeps_its_residuals(gname,
+                                                                    irrep):
+    # a diagonal weight rephases rows the identity leaves as they are: the
+    # raw images share every code
+    G, g = builtin_group(gname), general_small()
+    reg = Register(G, g.vertex_ids)
+    a = mono(G, (), {"e1": [Factor("Z", irrep_label=irrep)]})
+    codes, amps = sample_states(reg, np.random.default_rng(4), 5, 64)
+    kernel, loop = _per_state(a, mono(G, (), {}), reg, codes, amps)
+    assert kernel == loop
+    assert min(loop) > 0.1
+
+
+@pytest.mark.parametrize("gname", ["Z3", "S3", "Q8"])
+def test_route_pair_differing_in_one_row_code_keeps_its_residuals(gname):
+    # h read off o0 left-multiplies e0: the identity on every row whose o0
+    # digit is e, and the states hold one row that is not
+    G, g = builtin_group(gname), general_small()
+    reg = Register(G, ("o0", *(v for v in g.vertex_ids if v != "o0")))
+    a = mono(G, ("h",), {"o0": [Factor("T", Word.var("h"))],
+                         "e0": [Factor("XL", Word.var("h"))]})
+    # o0 leads the register, so codes drawn without it have o0 = e
+    codes, amps = sample_states(reg.drop("o0"), np.random.default_rng(4), 5, 64)
+    codes[-1, 7] += reg.place_value("o0", 1)
+    order = np.argsort(codes, axis=1)
+    codes, amps = (np.take_along_axis(x, order, axis=1) for x in (codes, amps))
+    kernel, loop = _per_state(a, mono(G, (), {}), reg, codes, amps)
+    assert kernel == loop
+    assert loop[:-1] == [0.0] * 4 and loop[-1] > 0
+
+
+def test_bound_members_share_their_familys_plan():
+    # binding changes neither sites nor variables: a member acts by its
+    # family's plan and derives none of its own
+    G, g = builtin_group("S3"), general_small()
+    reg = Register(G, g.vertex_ids)
+    psi = random_state(reg, np.random.default_rng(2), 300)
+    family = closed_form_odd(g, G, "o0")
+    member = family.bind({PARAM: 2})
+    got = member.act_rows(reg, psi.codes, psi.amps)
+    assert "_plan" not in vars(member) and "_plan" in vars(family)
+    for want in (family.act_rows(reg, psi.codes, psi.amps, {PARAM: 2}),
+                 closed_form_odd(g, G, "o0", 2).act_rows(reg, psi.codes,
+                                                         psi.amps)):
+        assert all(map(np.array_equal, got, want))
 
 
 # --- Order-2 split forms ---
