@@ -27,7 +27,12 @@ import time
 import numpy as np
 
 from .builder import OverBudget, build_cluster_state, schedule
-from .corpus import build_corpus, corpus_battery, corpus_pairs, stabilizer_residuals
+from .corpus import (
+    build_corpus,
+    corpus_batteries,
+    corpus_pairs,
+    stabilizer_residuals,
+)
 from .graphs import graph_to_json, load_graph_file, ring_graph
 from .groups import (
     ALGEBRA_TOL,
@@ -357,12 +362,12 @@ def _cmd_corpus(args) -> dict:
             raise InputError(f"cannot dump graphs: {exc}")
         return _assemble("corpus", {}, {}, [], args.seed,
                          extra={"dumped": written})
+    corpus = build_corpus()
     pairs = corpus_pairs(max_edges=args.max_edges,
-                         groups=args.groups or None)
+                         groups=args.groups or None, corpus=corpus)
     if not pairs:
         raise InputError("the requested filters leave no corpus pairs")
-    results = [corpus_battery(entry, gname, seed=args.seed, tol=args.tol)
-               for entry, gname in pairs]
+    results = corpus_batteries(pairs, args.seed, args.tol)
     checks = []
     for res in results:
         label = f"{res['graph']}+{res['group']}"
@@ -371,8 +376,7 @@ def _cmd_corpus(args) -> dict:
                     res["routes_max_residual"],
                     1.0 - res["peps_fidelity"])
         checks.append(_check(label, worst, args.tol))
-    corpus_hash = _canonical_hash(
-        [graph_to_json(e.graph) for e in build_corpus()])
+    corpus_hash = _canonical_hash([graph_to_json(e.graph) for e in corpus])
     return _assemble("corpus", {"corpus": {"spec": "builtin",
                                            "sha256": corpus_hash}},
                      {"residual": args.tol}, checks, args.seed,

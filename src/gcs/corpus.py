@@ -2,10 +2,22 @@
 sized so every check stays exact and fast.
 
 The corpus is deterministic — the random families are seeded and frozen by
-tests — so batteries run over it can be compared byte for byte."""
+tests — so batteries run over it can be compared byte for byte.
+
+``corpus_batteries`` runs the battery over many pairs on every CPU in the
+process's affinity set.  Each pair is independent and seeded on its own
+(``derive_seed``), so the pairs are dealt heaviest first (by the state's key
+count, |G|^#odd) into one share per CPU; the caller runs the first share
+and a forked child runs each other one.  The results come back in pair
+order, so a report does not depend on how many CPUs ran it.  With one CPU,
+or without ``os.fork``, the one share runs in-process."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
 import zlib
 from dataclasses import dataclass
 
@@ -31,7 +43,9 @@ __all__ = [
     "corpus_pairs",
     "general_small_graph",
     "corpus_battery",
+    "corpus_batteries",
     "derive_seed",
+    "lpt_shares",
     "stabilizer_residuals",
 ]
 
@@ -131,10 +145,12 @@ def build_corpus() -> tuple:
     return tuple(entries)
 
 
-def corpus_pairs(max_edges: int | None = None, groups=None) -> tuple:
-    """(entry, group name) pairs, optionally filtered."""
+def corpus_pairs(max_edges: int | None = None, groups=None,
+                 corpus: tuple | None = None) -> tuple:
+    """(entry, group name) pairs of ``corpus`` (``build_corpus()`` when not
+    given), optionally filtered."""
     out = []
-    for e in build_corpus():
+    for e in corpus if corpus is not None else build_corpus():
         if max_edges is not None and len(e.graph.edges) > max_edges:
             continue
         for gname in e.groups:
@@ -197,3 +213,101 @@ def corpus_battery(entry: CorpusEntry, gname: str, seed: int = 0,
         "checks_passed": bool(max(worst.values()) <= tol and fid > 1 - tol),
         "peps_fidelity": fid,
     }
+
+
+def lpt_shares(costs, workers: int) -> list:
+    """Indices into ``costs`` dealt into ``workers`` shares, longest
+    processing time first: each index, heaviest first (ties in index
+    order), goes to the share with the least cost so far (ties to the
+    lowest share).  Each share lists its indices in the order dealt."""
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+    return shares
+
+
+def _workers(n_pairs: int) -> int:
+    """One worker per CPU this process may run on, at most one per pair."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_pairs))
+
+
+def _fork_share(run, share):
+    """Fork a child that runs ``run(share)`` and pickles ``(True, results)``
+    or ``(False, exception)`` into a pipe; return its pid and the pipe's
+    read end.  The child always leaves by ``os._exit``: it never returns
+    into the caller and never flushes the caller's buffered output."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child
+        status = 1
+        try:
+            os.close(r)
+            try:
+                payload = (True, run(share))
+            except Exception as exc:
+                payload = (False, exc)
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _payload(pid: int, data: bytes, status: int) -> list:
+    """A child's results, or the exception it raised, raised here."""
+    if status or not data:
+        raise RuntimeError(
+            f"corpus worker {pid} exited with code "
+            f"{os.waitstatus_to_exitcode(status)} after {len(data)} bytes "
+            "of results")
+    ok, value = pickle.loads(data)  # bytes our own child wrote
+    if not ok:
+        raise value
+    return value
+
+
+def corpus_batteries(pairs, seed: int, tol: float,
+                     routes_states: int = 5) -> list:
+    """``corpus_battery`` over each (entry, group name) of ``pairs``, in
+    pair order, spread over the CPUs this process may run on.
+
+    The pairs are dealt by ``lpt_shares`` on their key counts.  The caller
+    runs share 0 while a forked child runs each other share; every child
+    is reaped before this returns or raises, and an exception raised in a
+    child is raised here.  A child that ends without results fails the
+    call."""
+    def run(share):
+        return [corpus_battery(*pairs[i], seed=seed, tol=tol,
+                               routes_states=routes_states) for i in share]
+
+    costs = [builtin_group(gname).order ** len(entry.graph.odd_vertices)
+             for entry, gname in pairs]
+    shares = lpt_shares(costs, _workers(len(pairs)))
+    children = []  # (pid, read end of its pipe, share), not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(run, share), share))
+        results = dict(zip(shares[0], run(shares[0])))
+        while children:
+            pid, pipe, share = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            results.update(zip(share, _payload(pid, data, status)))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return [results[i] for i in range(len(pairs))]

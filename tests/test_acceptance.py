@@ -18,7 +18,7 @@ import pytest
 
 from gcs.builder import build_cluster_state
 from gcs.cli import run as cli_run
-from gcs.corpus import corpus_battery, corpus_pairs, general_small_graph
+from gcs.corpus import corpus_batteries, corpus_pairs, general_small_graph
 from gcs.graphs import line_graph, ring_graph
 from gcs.groups import (
     builtin_group,
@@ -127,11 +127,10 @@ def test_criterion_3_order2_qubit_consistency():
 def test_criterion_4_stabilizer_cross_validation():
     start = time.perf_counter()
     ok = True
-    for entry, gname in corpus_pairs():
-        res = corpus_battery(entry, gname, seed=0, tol=1e-10,
-                             routes_states=50)
+    for res in corpus_batteries(corpus_pairs(), 0, 1e-10, routes_states=50):
         if not res["checks_passed"]:
-            print(f"  cross-validation failed on {entry.name}+{gname}: {res}")
+            print(f"  cross-validation failed on {res['graph']}+{res['group']}: "
+                  f"{res}")
             ok = False
     _line(4, "stabilizer cross-validation over the corpus", ok,
           time.perf_counter() - start, 120.0)

@@ -677,7 +677,7 @@ def test_bad_tolerance_is_usage_error(argv, tol, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_symmetry_algebra", no_checks)
     monkeypatch.setattr(cli, "validate_group", no_checks)
-    monkeypatch.setattr(cli, "corpus_battery", no_checks)
+    monkeypatch.setattr(cli, "corpus_batteries", no_checks)
     with pytest.raises(SystemExit) as exc:
         run([*argv, f"--tol={tol}"])
     assert exc.value.code == 2

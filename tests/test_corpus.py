@@ -4,16 +4,26 @@ produced on different days stay comparable byte for byte."""
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from gcs import stabilizers
+import gcs
+from gcs import corpus, stabilizers
 from gcs.builder import build_cluster_state, schedule
+from gcs.cli import run as cli_run
 from gcs.corpus import (
     build_corpus,
+    corpus_batteries,
     corpus_battery,
     corpus_pairs,
     derive_seed,
+    lpt_shares,
     stabilizer_residuals,
 )
 from gcs.groups import builtin_group
@@ -300,3 +310,112 @@ def test_stabilizer_residuals_draws_once_per_pair(monkeypatch):
     res = stabilizer_residuals(g, G, psi, seed=3)
     assert len(res["routes"]) > 1
     assert calls == [5]
+
+
+# --- Batteries spread over forked workers ---
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _key_counts(pairs):
+    return [builtin_group(gname).order ** len(e.graph.odd_vertices)
+            for e, gname in pairs]
+
+
+def test_lpt_deals_heaviest_first_to_the_least_loaded_share():
+    assert lpt_shares([5, 4, 3, 3, 3], 2) == [[0, 3], [1, 2, 4]]
+    assert lpt_shares([1, 1], 3) == [[0], [1], []]
+    assert lpt_shares([], 2) == [[], []]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_lpt_gives_each_pair_to_exactly_one_share(workers):
+    costs = _key_counts(corpus_pairs(max_edges=16))
+    shares = lpt_shares(costs, workers)
+    assert len(shares) == workers
+    assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batteries_come_back_in_pair_order(monkeypatch, workers):
+    monkeypatch.setattr(corpus, "_workers", lambda n: workers)
+    pairs = corpus_pairs(max_edges=4)
+    got = corpus_batteries(pairs, 3, 1e-10)
+    _no_child_left()
+    assert got == [corpus_battery(e, gname, seed=3, tol=1e-10)
+                   for e, gname in pairs]
+
+
+def _corpus_report(cpu=None) -> dict:
+    src = str(pathlib.Path(gcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    out = subprocess.run(
+        [sys.executable, "-m", "gcs.cli", "corpus", "--max-edges", "8",
+         "--seed", "3", "--json"],
+        env=env, preexec_fn=pin, capture_output=True, text=True, check=True,
+        timeout=120)
+    report = json.loads(out.stdout)
+    report.pop("wall_time_s")
+    return report
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity set of two or more CPUs")
+def test_one_cpu_report_equals_the_all_cpu_report():
+    one = _corpus_report(cpu=min(os.sched_getaffinity(0)))
+    assert one["passed"] and one["pairs"] == 60
+    assert one == _corpus_report()
+
+
+def test_no_child_left_after_a_corpus_request(capsys):
+    assert cli_run(["corpus", "--max-edges", "4", "--json"]) == 0
+    _no_child_left()
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+def _planted(monkeypatch, share: int, fail):
+    """Two workers, and ``fail(pair)`` called in place of the battery on the
+    first pair of ``share``; returns the pairs and that pair."""
+    monkeypatch.setattr(corpus, "_workers", lambda n: 2)
+    pairs = corpus_pairs(max_edges=4)
+    target = pairs[lpt_shares(_key_counts(pairs), 2)[share][0]]
+    battery = corpus.corpus_battery
+
+    def planted(entry, gname, **kwargs):
+        if (entry, gname) == target:
+            fail(target)
+        return battery(entry, gname, **kwargs)
+
+    monkeypatch.setattr(corpus, "corpus_battery", planted)
+    return pairs, target
+
+
+@pytest.mark.parametrize("share", [0, 1])  # the caller's share, a child's
+def test_an_exception_in_any_share_reaches_the_caller(monkeypatch, share):
+    def fail(pair):
+        raise ValueError(f"planted on {pair[0].name}+{pair[1]}")
+
+    pairs, (entry, gname) = _planted(monkeypatch, share, fail)
+    with pytest.raises(ValueError) as info:
+        corpus_batteries(pairs, 0, 1e-10)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"planted on {entry.name}+{gname}"
+    _no_child_left()
+
+
+def test_a_child_ending_without_results_fails_the_call(monkeypatch):
+    parent = os.getpid()
+
+    def die(pair):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    pairs, _ = _planted(monkeypatch, 1, die)
+    with pytest.raises(RuntimeError, match="exited with code 3 after 0 bytes"):
+        corpus_batteries(pairs, 0, 1e-10)
+    _no_child_left()
